@@ -33,6 +33,7 @@ decompose stages.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,7 +77,13 @@ def _expect_int(value, path, minimum=None) -> int:
 def _expect_number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, "expected a finite number")
+    return number
 
 def _expect_str(value, path, choices=None) -> str:
     if not isinstance(value, str):
@@ -97,15 +104,13 @@ def _reject_unknown(mapping: dict, known, path):
 
 
 def _parse_entry(value, path) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(path, "matrix entries must be numbers or [re, im] pairs")
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
     if isinstance(value, list) and len(value) == 2:
         re = _expect_number(value[0], f"{path}[0]")
         im = _expect_number(value[1], f"{path}[1]")
         return complex(re, im)
-    raise ConfigError(path, "matrix entries must be numbers or [re, im] pairs")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "matrix entries must be numbers or [re, im] pairs")
+    return complex(_expect_number(value, path), 0.0)
 
 
 def parse_matrix(value, path) -> np.ndarray:

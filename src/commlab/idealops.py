@@ -3,10 +3,12 @@
 Built-in models generate each entry from the index and fixed parameters only,
 never from the instantiation dimension, so a tuple instantiated at N and at
 N' > N agrees on the leading N x N corner.  Together with the declared
-bandwidth this makes commutators against finitely supported matrices exact
+bandwidth b this makes commutators against finitely supported matrices exact
 under truncation: [T, S] is computed on the leading (support + bandwidth)
-corner and embedded, which is both bitwise reproducible across dimensions and
-cheap when the support is small.
+corner c and embedded, which is both bitwise reproducible across dimensions and
+cheap when the support is small.  On that corner (the whole matrix for a dense
+S) the product is taken from the 2b + 1 diagonals of T at O(c^2 b) cost; only
+a band as wide as the corner, 2b + 1 >= c, falls back to dense products.
 """
 
 from __future__ import annotations
@@ -153,21 +155,46 @@ def instantiate_model(spec: OperatorModelSpec, dim: int) -> HermitianTuple:
 
 def support_size(matrix: np.ndarray) -> int:
     """Smallest s such that the matrix vanishes outside its leading s-corner."""
-    i, j = np.nonzero(matrix)
-    if i.size == 0:
+    m = np.asarray(matrix)
+    rows = np.flatnonzero(m.any(axis=1))
+    if rows.size == 0:
         return 0
-    return int(max(i.max(), j.max())) + 1
+    cols = np.flatnonzero(m.any(axis=0))
+    return int(max(rows[-1], cols[-1])) + 1
+
+
+def band_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:
+    """[T, S] = TS - ST for square T of the given bandwidth and S of its size.
+
+    TS and ST are accumulated from the 2b + 1 diagonals of T, one shifted
+    copy of S per diagonal, at O(c^2 b) cost for c x c matrices.  A band as
+    wide as the matrix takes the dense products instead.  For diagonal S each
+    entry receives a single nonzero product from each side, so the result is
+    bitwise that of the dense products whenever each product is one rounding:
+    for real S, and for T with real or imaginary entries as in the models.
+    """
+    c = s.shape[0]
+    if 2 * bandwidth + 1 >= c:
+        return t @ s - s @ t
+    out = np.zeros((c, c), dtype=np.result_type(t, s))
+    for d in range(-bandwidth, bandwidth + 1):
+        diag = np.diagonal(t, d)  # T[i, i + d]
+        if d >= 0:
+            out[:c - d] += diag[:, None] * s[d:]
+            out[:, d:] -= s[:, :c - d] * diag
+        else:
+            out[-d:] += diag[:, None] * s[:c + d]
+            out[:, :c + d] -= s[:, -d:] * diag
+    return out
 
 
 def _banded_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:
     dim = s.shape[0]
     c = min(dim, support_size(s) + bandwidth)
     if c >= dim:
-        return t @ s - s @ t
-    tc = t[:c, :c]
-    sc = s[:c, :c]
+        return band_commutator(t, s, bandwidth)
     out = np.zeros((dim, dim), dtype=np.result_type(t, s))
-    out[:c, :c] = tc @ sc - sc @ tc
+    out[:c, :c] = band_commutator(t[:c, :c], s[:c, :c], bandwidth)
     return out
 
 

@@ -24,8 +24,8 @@ from .functionals import (
     eval_trace_part,
     trace_part_norms,
 )
-from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, operator_norm
-from .idealops import HermitianTuple, commutator_tuple
+from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, gauge_value, operator_norm
+from .idealops import HermitianTuple, band_commutator, commutator_tuple
 from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
@@ -66,7 +66,11 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s,
     for unit in schedule.steps[:depth]:
         if unit.matrix.shape != sm.shape:
             raise ValueError("schedule dimension does not match the operand")
-        values.append(eval_functional(phi, tau, unit.matrix @ sm))
+        # A_k is supported in its leading cap_r rows, and so is A_k S
+        r = unit.cap_r
+        product = np.zeros(sm.shape, dtype=np.result_type(unit.matrix, sm))
+        product[:r] = unit.matrix[:r, :r] @ sm[:r]
+        values.append(eval_functional(phi, tau, product))
     limit = detect_limit(values, rule="plain", tol=1e-9)
     return RecoveryResult(sequence=tuple(values), limit=limit)
 
@@ -101,22 +105,31 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     if s_commutators is None:
         s_commutators = commutator_tuple(tau, sm)
 
+    # A is supported in its leading r x r corner, so every term lives on
+    # leading rows or corners of size about r: no N x N product is formed.
+    r = unit.cap_r
+    a = unit.matrix[:r, :r]
     total = 0.0
     sx = tp.x.shape[0]
     if sx and tp.x.any():
-        c = min(dim, max(sx, unit.cap_r))
-        xc = np.zeros((c, c), dtype=np.complex128)
-        xc[:sx, :sx] = tp.x
-        total += gauge_norm(_TRACE_NORM, xc - xc @ unit.matrix[:c, :c]) * s_norm
+        # X - X A vanishes outside its leading sx x c rectangle
+        c = min(dim, max(sx, r))
+        rows = np.zeros((sx, c), dtype=np.complex128)
+        rows[:, :sx] = tp.x
+        rows -= tp.x @ unit.matrix[:sx, :c]
+        total += gauge_value(_TRACE_NORM, np.linalg.svd(rows, compute_uv=False)) * s_norm
 
     if any(y_norms):
-        shrink = np.eye(dim) - unit.matrix
         for k, yn in zip(s_commutators, y_norms):
             if yn:
-                total += gauge_norm(gauge, shrink @ k) * yn
-        unit_comms = commutator_tuple(tau, unit.matrix)
-        for k, yn in zip(unit_comms, y_norms):
+                shrunk = np.array(k, dtype=np.complex128)
+                shrunk[:r] -= a @ k[:r]  # (I - A) K
+                total += gauge_norm(gauge, shrunk) * yn
+        w = min(dim, r + tau.bandwidth)
+        corner = unit.matrix[:w, :w]
+        for t, yn in zip(tau.matrices, y_norms):
             if yn:
+                k = band_commutator(t[:w, :w], corner, tau.bandwidth)
                 total += gauge_norm(gauge, k) * yn * s_norm
     return float(total)
 

@@ -148,6 +148,24 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage, edit, path", [
+    ("decompose", lambda c: c["functionals"][0]["trace_part"].update(x=[[[float("nan"), 0]]]),
+     "functionals[0].trace_part.x[0][0][0]"),
+    ("k-estimate", lambda c: c["solver"].update(step_scale=float("inf")),
+     "solver.step_scale"),
+    ("k-estimate", lambda c: c["solver"].update(step_scale=10 ** 400),
+     "solver.step_scale"),
+], ids=["nan-matrix-entry", "infinite-step-scale", "integer-beyond-float-range"])
+def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
+    cfg = copy.deepcopy(BASE)
+    edit(cfg)
+    code = run_cli(stage, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {path}: expected a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_cli_failing_stage_exits_one(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     # floors jump backwards past an earlier cap: the schedule cannot march

@@ -86,8 +86,15 @@ def test_hermitian_tuple_rejects_non_hermitian():
 def test_support_size():
     m = np.zeros((6, 6))
     assert support_size(m) == 0
+    assert support_size(np.zeros((6, 6), dtype=np.complex128)) == 0
     m[2, 1] = 1.0
     assert support_size(m) == 3
+    last_row = np.zeros((6, 6))
+    last_row[5, 0] = 1.0
+    assert support_size(last_row) == 6
+    last_col = np.zeros((6, 6), dtype=np.complex128)
+    last_col[0, 5] = 1j
+    assert support_size(last_col) == 6
 
 
 # ---------------------------------------------------------- commutators
@@ -115,6 +122,64 @@ def test_commutator_trace_free_and_antihermitian():
     for k in commutator_tuple(tau, s):
         assert abs(np.trace(k)) < 1e-10
         assert np.abs(k + k.conj().T).max() < 1e-10
+
+
+KERNEL_DIM = 24
+
+
+def kernel_tuples():
+    """Every built-in model, a random band-2 tuple and a dense random tuple."""
+    rng = np.random.default_rng(28)
+    tuples = [pytest.param(spec.name, instantiate_model(spec, KERNEL_DIM), id=spec.name)
+              for spec in MODELS]
+    i, j = np.indices((KERNEL_DIM, KERNEL_DIM))
+    band2 = [np.where(np.abs(i - j) <= 2, random_hermitian(rng, KERNEL_DIM), 0)
+             for _ in range(2)]
+    tuples.append(pytest.param(
+        "band-2", HermitianTuple.from_matrices(band2, bandwidth=2), id="band-2"))
+    dense = [random_hermitian(rng, KERNEL_DIM) for _ in range(2)]
+    tuples.append(pytest.param("dense", HermitianTuple.from_matrices(dense), id="dense"))
+    return tuples
+
+
+def kernel_operands():
+    """A dense, a banded and a finitely supported operand."""
+    rng = np.random.default_rng(29)
+    i, j = np.indices((KERNEL_DIM, KERNEL_DIM))
+    finite = np.zeros((KERNEL_DIM, KERNEL_DIM), dtype=np.complex128)
+    finite[:7, :7] = random_hermitian(rng, 7)
+    return [random_hermitian(rng, KERNEL_DIM),
+            np.where(np.abs(i - j) <= 3, random_hermitian(rng, KERNEL_DIM), 0),
+            finite]
+
+
+@pytest.mark.parametrize("name, tau", kernel_tuples())
+def test_commutator_matches_dense_reference(name, tau):
+    for s in kernel_operands():
+        for t, got in zip(tau.matrices, commutator_tuple(tau, s)):
+            want = t @ s - s @ t
+            if name == "dense":  # bandwidth N - 1 takes the dense products
+                assert np.array_equal(got, want)
+            scale = operator_norm(t) * operator_norm(s)
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name, tau", kernel_tuples())
+def test_commutator_bitwise_on_diagonal_operands(name, tau):
+    # Ramp units are real diagonal; their commutator norms (k-estimate
+    # ramps, schedule commutator norms) must not move in the last bit.
+    rng = np.random.default_rng(30)
+    ramp = np.diag(np.clip(np.linspace(1.5, -0.5, KERNEL_DIM), 0.0, 1.0))
+    ramp[KERNEL_DIM // 2:] = 0.0  # finite support: the corner route
+    operands = [ramp, np.diag(rng.standard_normal(KERNEL_DIM))]
+    if name in {spec.name for spec in MODELS}:
+        # built-in entries are real or imaginary, so complex products are
+        # exact roundings too; a general complex T may differ by an ulp
+        operands.append(np.diag(rng.standard_normal(KERNEL_DIM)
+                                + 1j * rng.standard_normal(KERNEL_DIM)))
+    for s in operands:
+        for t, got in zip(tau.matrices, commutator_tuple(tau, s)):
+            assert np.array_equal(got, t @ s - s @ t)
 
 
 def test_commutator_dimension_mismatch():

@@ -8,14 +8,17 @@ from commlab import (
     NotConverged,
     OperatorModelSpec,
     SampleSpec,
+    SolverParams,
     TracePart,
     build_schedule,
     commutator_tuple,
+    conjugate_gauge,
     coordinate_tail_states,
     decompose,
     eval_functional,
     eval_singular_part,
     eval_trace_part,
+    gauge_norm,
     generate_test_set,
     instantiate_model,
     operator_norm,
@@ -25,6 +28,7 @@ from commlab import (
     recover_ac_part,
     recovery_error_bound,
     schatten,
+    sup_gauge,
 )
 
 G2 = schatten(2)
@@ -189,6 +193,72 @@ def test_bound_input_validation():
         recovery_error_bound(tp, tau, schatten(1), unit, np.eye(32))
     with pytest.raises(ValueError):
         recovery_error_bound(tp, tau, G2, unit, np.eye(8))
+
+
+# ------------------------------------- corner terms against dense products
+
+
+CORNER_DIM = 64
+CORNER_WINDOWS = [(2, 4), (4, 8), (8, 16), (16, 24), (20, 32), (24, 40), (32, 48), (40, 56)]
+
+
+@pytest.fixture(scope="module")
+def corner_case():
+    """Ramp and optimized-then-monotonized schedules with three operands."""
+    tau = lap(CORNER_DIM)
+    schedules = [build_schedule(tau, G2, CORNER_WINDOWS),
+                 build_schedule(tau, G2, CORNER_WINDOWS, mode="optimized-then-monotonized",
+                                params=SolverParams(max_iterations=40))]
+    assert any(np.count_nonzero(u.matrix - np.diag(np.diag(u.matrix)))
+               for u in schedules[1].steps)
+    rng = np.random.default_rng(70)
+    i, j = np.indices((CORNER_DIM, CORNER_DIM))
+    finite = np.zeros((CORNER_DIM, CORNER_DIM), dtype=np.complex128)
+    finite[:6, :6] = hermitian(rng, 6)
+    operands = [hermitian(rng, CORNER_DIM),
+                np.where(np.abs(i - j) <= 3, hermitian(rng, CORNER_DIM), 0), finite]
+    # X wider than the first cap, Y blocks of two sizes
+    blocks = (random_block(rng, 6), random_block(rng, 3), random_block(rng, 5))
+    return tau, schedules, operands, blocks
+
+
+def dense_bound(tp, tau, gauge, unit, s):
+    """The docstring's three terms of recovery_error_bound, as N x N products."""
+    dim = tau.dimension
+    a = np.asarray(unit.matrix)
+    x = np.zeros((dim, dim), dtype=np.complex128)
+    x[:tp.x.shape[0], :tp.x.shape[0]] = tp.x
+    s_norm = operator_norm(s)
+    total = gauge_norm(schatten(1), x - x @ a) * s_norm
+    for t, y in zip(tau.matrices, tp.ys):
+        yn = gauge_norm(conjugate_gauge(gauge), y)
+        total += gauge_norm(gauge, (np.eye(dim) - a) @ (s @ t - t @ s)) * yn
+        total += gauge_norm(gauge, a @ t - t @ a) * yn * s_norm
+    return total
+
+
+@pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge()], ids=lambda g: g.label)
+def test_bound_matches_dense_terms(corner_case, gauge):
+    tau, schedules, operands, (x, y1, y2) = corner_case
+    tp = TracePart(x=x, ys=(y1, y2), gauge=gauge)
+    for sched in schedules:
+        for unit in sched.steps:
+            for s in operands:
+                got = recovery_error_bound(tp, tau, gauge, unit, s)
+                assert got == pytest.approx(dense_bound(tp, tau, gauge, unit, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge()], ids=lambda g: g.label)
+def test_recovery_sequence_matches_dense_products(corner_case, gauge):
+    tau, schedules, operands, (x, y1, y2) = corner_case
+    phi = FunctionalSpec(trace_part=TracePart(x=x, ys=(y1, y2), gauge=gauge),
+                         singular_part=coordinate_tail_states(range(57, 64)))
+    for sched in schedules:
+        for s in operands:
+            got = recover_ac_part(phi, sched, tau, s).sequence
+            want = [eval_functional(phi, tau, u.matrix @ s) for u in sched.steps]
+            scale = max(abs(v) for v in want)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12 * scale
 
 
 # -------------------------------------------------------------- decompose
