@@ -10,16 +10,7 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
-from .runner import render_report, run_experiment
-
-_STAGE_COMMANDS = ("gauge-check", "k-estimate", "schedule", "decompose")
-_HELP = {
-    "gauge-check": "run the gauge axiom and duality battery",
-    "k-estimate": "tabulate certified commutator-norm values over a window grid",
-    "schedule": "build and certify a monotone unit schedule",
-    "decompose": "recover trace parts of the configured functionals",
-    "report": "render plot-ready data files from existing artifacts",
-}
+from .runner import STAGES, render_report, run_experiment
 
 
 def _add_common(parser: argparse.ArgumentParser, need_config: bool):
@@ -39,9 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiments with operator tuples, gauge "
                     "norms, approximate units, and functional decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _STAGE_COMMANDS:
-        _add_common(sub.add_parser(name, help=_HELP[name]), need_config=True)
-    _add_common(sub.add_parser("report", help=_HELP["report"]), need_config=False)
+    for stage in STAGES:
+        _add_common(sub.add_parser(stage.name, help=stage.help), need_config=True)
+    _add_common(sub.add_parser(
+        "report", help="render plot-ready data files from existing artifacts"),
+        need_config=False)
     return parser
 
 

@@ -11,7 +11,7 @@ Shape (entries marked * are required):
       "model"*: {"name": "lap-pos", "n": 2, "parameters": [1.0, 400]},
       "dimension"*: 64,
       "gauges"*: [{"family": "schatten", "p": 2.0, "label": "p2"}, ...],
-      "solver": {"max_iterations": 2000, "step_rule": "sqrt", ...},
+      "solver": {"max_iterations": 2000, "step_scale": 1.0, ...},
       "windows": {"floors": [...], "caps": [...],
                   "schedule": [[m, r], ...], "mode": "ramp"},
       "functionals": [{"label": "phi-0",
@@ -172,14 +172,11 @@ def _parse_model(value, path) -> OperatorModelSpec:
 
 def _parse_solver(value, path) -> SolverParams:
     d = _expect_map(value, path)
-    known = {"max_iterations", "step_rule", "step_scale", "stop_tolerance",
-             "patience"}
+    known = {"max_iterations", "step_scale", "stop_tolerance", "patience"}
     _reject_unknown(d, known, path)
     kwargs = {}
     if "max_iterations" in d:
         kwargs["max_iterations"] = _expect_int(d["max_iterations"], f"{path}.max_iterations", 1)
-    if "step_rule" in d:
-        kwargs["step_rule"] = _expect_str(d["step_rule"], f"{path}.step_rule")
     if "step_scale" in d:
         kwargs["step_scale"] = _expect_number(d["step_scale"], f"{path}.step_scale")
     if "stop_tolerance" in d:
@@ -193,15 +190,16 @@ def _parse_solver(value, path) -> SolverParams:
 
 
 def _parse_window_pairs(value, path) -> tuple[tuple[int, int], ...]:
+    """1-based [start, end] pairs: schedule [floor, cap] and tail [lo, hi] windows."""
     pairs = []
     for i, item in enumerate(_expect_list(value, path)):
         pair = _expect_list(item, f"{path}[{i}]")
         if len(pair) != 2:
-            raise ConfigError(f"{path}[{i}]", "expected a [floor, cap] pair")
+            raise ConfigError(f"{path}[{i}]", "expected a [start, end] pair")
         m = _expect_int(pair[0], f"{path}[{i}][0]", minimum=1)
         r = _expect_int(pair[1], f"{path}[{i}][1]", minimum=1)
         if m > r:
-            raise ConfigError(f"{path}[{i}]", f"floor {m} exceeds cap {r}")
+            raise ConfigError(f"{path}[{i}]", f"start {m} exceeds end {r}")
         pairs.append((m, r))
     return tuple(pairs)
 
@@ -211,17 +209,11 @@ def _parse_tail(value, path, dimension: int) -> TailStateSpec:
     _reject_unknown(d, {"windows", "states", "rule", "detection_tol"}, path)
     if "windows" not in d:
         raise ConfigError(f"{path}.windows", "required")
-    windows = []
-    for i, item in enumerate(_expect_list(d["windows"], f"{path}.windows")):
-        pair = _expect_list(item, f"{path}.windows[{i}]")
-        if len(pair) != 2:
-            raise ConfigError(f"{path}.windows[{i}]", "expected a [lo, hi] pair")
-        lo = _expect_int(pair[0], f"{path}.windows[{i}][0]", minimum=1)
-        hi = _expect_int(pair[1], f"{path}.windows[{i}][1]", minimum=1)
+    windows = _parse_window_pairs(d["windows"], f"{path}.windows")
+    for i, (_, hi) in enumerate(windows):
         if hi > dimension:
             raise ConfigError(f"{path}.windows[{i}]",
                               f"window end {hi} exceeds dimension {dimension}")
-        windows.append((lo, hi))
     states_field = d.get("states", "uniform")
     if states_field == "uniform":
         states = []
@@ -234,7 +226,7 @@ def _parse_tail(value, path, dimension: int) -> TailStateSpec:
     rule = _expect_str(d.get("rule", "plain"), f"{path}.rule", {"plain", "cesaro"})
     tol = _expect_number(d.get("detection_tol", 1e-9), f"{path}.detection_tol")
     try:
-        return TailStateSpec(windows=tuple(windows), states=tuple(states),
+        return TailStateSpec(windows=windows, states=tuple(states),
                              limit_rule=rule, detection_tol=tol)
     except ValueError as err:
         raise ConfigError(path, str(err)) from None

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, norm_subgradient, operator_norm
-from .idealops import (HermitianTuple, commutator_tuple, e_norm_max, e_norm_sum,
-                       support_size, tuple_gauge_norm)
+from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, norm_subgradient
+from .idealops import HermitianTuple, e_norm_max, e_norm_sum, embed
 from .sampling import SampleSpec, generate_test_set
 
 DETECTION_RUN = 5
@@ -65,18 +64,13 @@ def _as_block(matrix) -> np.ndarray:
     return m
 
 
-def _embed(block: np.ndarray, dim: int) -> np.ndarray:
-    s = block.shape[0]
-    if s > dim:
-        raise ValueError(f"support {s} exceeds the instantiated dimension {dim}")
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[:s, :s] = block
-    return out
-
-
 @dataclass(frozen=True)
 class TracePart:
-    """Finitely supported pair (X, (Y_j)) with its gauge."""
+    """Finitely supported pair (X, (Y_j)) with its gauge.
+
+    The same pair stands for its class in the predual, modulo the pairs whose
+    first slot is a commutator sum; `quotient_norm_bounds` brackets its norm.
+    """
 
     x: np.ndarray
     ys: tuple[np.ndarray, ...]
@@ -119,7 +113,8 @@ def eval_trace_part(tp: TracePart, tau: HermitianTuple, s) -> complex:
     Only leading corners of S enter: the commutator entries on the support of
     Y_j depend on S through its (support + bandwidth) corner, because T_j is
     banded.  The value therefore does not change when S is re-instantiated at
-    a larger dimension with the same corner.
+    a larger dimension with the same corner.  It is constant on the class of
+    tp modulo commutator-sum pairs.
     """
     _check_margin(tp, tau)
     sm = np.asarray(s)
@@ -156,7 +151,7 @@ def reduce_to_trace(tp: TracePart, tau: HermitianTuple) -> np.ndarray:
             continue
         c = sy + tau.bandwidth
         tc = t[:c, :c]
-        ye = _embed(y, c)
+        ye = embed(y, c)
         out[:c, :c] -= tc @ ye - ye @ tc
     return out
 
@@ -320,6 +315,28 @@ def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, float]:
     return float(x1), float(ysum)
 
 
+def sampled_lower(evaluate, tau: HermitianTuple, gauge: GaugeSpec, test_ops,
+                  norms) -> tuple[list[float], int]:
+    """Per norm, the largest |evaluate(S)| / norm(tau, gauge, S) over the test set.
+
+    Operators whose evaluation raises NotConverged are skipped and counted;
+    a norm at or below 1e-14 contributes nothing.  Returns (lowers, skipped).
+    """
+    lowers = [0.0] * len(norms)
+    skipped = 0
+    for op in test_ops:
+        try:
+            value = abs(evaluate(op.matrix))
+        except NotConverged:
+            skipped += 1
+            continue
+        for i, norm in enumerate(norms):
+            scale = norm(tau, gauge, op.matrix)
+            if scale > 1e-14:
+                lowers[i] = max(lowers[i], value / scale)
+    return lowers, skipped
+
+
 @dataclass(frozen=True)
 class NormBounds:
     """Sampled lower and certified upper bounds for both dual norms.
@@ -345,47 +362,16 @@ def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: Gaug
     upper = x1 + ysum + singular
     upper_alt = max(x1 + singular, ysum)
 
-    lower = 0.0
-    lower_alt = 0.0
-    skipped = 0
     ops = generate_test_set(sample_spec, tau, gauge)
-    for op in ops:
-        try:
-            value = abs(eval_functional(phi, tau, op.matrix))
-        except NotConverged:
-            skipped += 1
-            continue
-        nmax = e_norm_max(tau, gauge, op.matrix)
-        nsum = e_norm_sum(tau, gauge, op.matrix)
-        if nmax > 1e-14:
-            lower = max(lower, value / nmax)
-        if nsum > 1e-14:
-            lower_alt = max(lower_alt, value / nsum)
+    (lower, lower_alt), skipped = sampled_lower(
+        lambda s: eval_functional(phi, tau, s), tau, gauge, ops, (e_norm_max, e_norm_sum))
     return NormBounds(lower=lower, upper=upper, lower_alt=lower_alt,
                       upper_alt=upper_alt, skipped=skipped, samples=len(ops))
 
 
-@dataclass(frozen=True)
-class PredualElement:
-    """Pair (x, (y_j)) representing a class modulo commutator-sum pairs."""
-
-    x: np.ndarray
-    ys: tuple[np.ndarray, ...]
-    gauge: GaugeSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_block(self.x))
-        object.__setattr__(self, "ys", tuple(_as_block(y) for y in self.ys))
-
-    @property
-    def support(self) -> int:
-        return max([self.x.shape[0]] + [y.shape[0] for y in self.ys])
-
-
-def pairing(pe: PredualElement, tau: HermitianTuple, s) -> complex:
-    """Tr(S x) + sum_j Tr(y_j [T_j, S]); constant on the class of pe."""
-    tp = TracePart(x=pe.x, ys=pe.ys, gauge=pe.gauge)
-    return eval_trace_part(tp, tau, s)
+# Predual elements are trace parts read modulo commutator-sum pairs.
+PredualElement = TracePart
+pairing = eval_trace_part
 
 
 @dataclass(frozen=True)
@@ -395,10 +381,10 @@ class QuotientBounds:
     iterations: int
 
 
-def quotient_norm_bounds(pe: PredualElement, tau: HermitianTuple, gauge: GaugeSpec,
+def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
                          window: int, sample_spec: SampleSpec,
                          max_iterations: int = 1500) -> QuotientBounds:
-    """Bracket the quotient norm of the class of pe.
+    """Bracket the quotient norm of the class of tp.
 
     Upper: minimize |x + sum_j [T_j, w_j]|_1 + sum_j |y_j + w_j|_dual over
     perturbations w_j supported in the leading `window` coordinates, by
@@ -409,17 +395,17 @@ def quotient_norm_bounds(pe: PredualElement, tau: HermitianTuple, gauge: GaugeSp
 
     Lower: the largest normalized pairing against the sampled test set.
     """
-    if len(pe.ys) != tau.n:
-        raise ValueError(f"predual element carries {len(pe.ys)} slots, tuple has {tau.n}")
+    if len(tp.ys) != tau.n:
+        raise ValueError(f"trace part carries {len(tp.ys)} slots, tuple has {tau.n}")
     if window < 1 or window + tau.bandwidth > tau.dimension:
         raise ValueError(f"window {window} infeasible at dimension {tau.dimension}")
-    if pe.support + tau.bandwidth > tau.dimension:
+    if tp.support + tau.bandwidth > tau.dimension:
         raise ValueError("supports exceed instantiation")
     dual = conjugate_gauge(gauge)
-    work = min(tau.dimension, max(window, pe.support) + tau.bandwidth)
+    work = min(tau.dimension, max(window, tp.support) + tau.bandwidth)
     corners = [t[:work, :work] for t in tau.matrices]
-    xe = _embed(pe.x, work)
-    yes = [_embed(y, work) for y in pe.ys]
+    xe = embed(tp.x, work)
+    yes = [embed(y, work) for y in tp.ys]
 
     def representative(ws):
         first = xe.copy()
@@ -464,10 +450,6 @@ def quotient_norm_bounds(pe: PredualElement, tau: HermitianTuple, gauge: GaugeSp
         if best <= 1e-14:
             break
 
-    lower = 0.0
-    for op in generate_test_set(sample_spec, tau, gauge):
-        value = abs(pairing(pe, tau, op.matrix))
-        norm = e_norm_max(tau, gauge, op.matrix)
-        if norm > 1e-14:
-            lower = max(lower, value / norm)
+    (lower,), _ = sampled_lower(lambda s: eval_trace_part(tp, tau, s), tau, gauge,
+                                generate_test_set(sample_spec, tau, gauge), (e_norm_max,))
     return QuotientBounds(lower=float(lower), upper=float(best), iterations=iterations)

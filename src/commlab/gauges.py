@@ -37,8 +37,7 @@ class GaugeSpec:
     `p` is set for the schatten family, `k` for ky-fan and ky-fan-dual.
     At finite matrix size every operator has finite rank, so the usual
     distinction between a normed ideal and the closure of the finite-rank
-    operators inside it is vacuous here; `mononorming` records that as
-    documentation.
+    operators inside it is vacuous here: every family is mononorming.
     """
 
     family: str
@@ -72,11 +71,6 @@ class GaugeSpec:
         if self.family == SUP:
             return "sup"
         return f"{self.family}-{self.k}"
-
-    @property
-    def mononorming(self) -> bool:
-        """All families implemented here are mononorming at finite size."""
-        return True
 
 
 def schatten(p: float) -> GaugeSpec:

@@ -48,6 +48,10 @@ class OperatorModelSpec:
             raise ValueError("n must be a positive integer")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "parameters", tuple(float(v) for v in self.parameters))
+        if self.name == "diagonal-grid" and self.parameters and int(self.parameters[0]) < 1:
+            raise ValueError("diagonal-grid needs a positive step count")
+        if self.name == "lap-pos" and len(self.parameters) > 1 and int(self.parameters[1]) < 1:
+            raise ValueError("lap-pos needs a positive grid size")
 
     @property
     def bandwidth(self) -> int:
@@ -56,8 +60,6 @@ class OperatorModelSpec:
 
 def _build_diagonal_grid(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
     steps = int(spec.parameters[0]) if spec.parameters else 3
-    if steps < 1:
-        raise ValueError("diagonal-grid needs a positive step count")
     j = np.arange(1, dim + 1, dtype=float)
     return [np.diag(np.minimum(j / (steps * i), 1.0)).astype(np.complex128)
             for i in range(1, spec.n + 1)]
@@ -66,8 +68,6 @@ def _build_diagonal_grid(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
 def _build_lap_pos(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
     scale = spec.parameters[0] if spec.parameters else 1.0
     grid = int(spec.parameters[1]) if len(spec.parameters) > 1 else 400
-    if grid < 1:
-        raise ValueError("lap-pos needs a positive grid size")
     j = np.arange(1, dim + 1, dtype=float)
     position = np.diag(np.minimum(j / grid, 1.0)).astype(np.complex128)
     lap = np.zeros((dim, dim), dtype=np.complex128)
@@ -161,6 +161,16 @@ def support_size(matrix: np.ndarray) -> int:
         return 0
     cols = np.flatnonzero(m.any(axis=0))
     return int(max(rows[-1], cols[-1])) + 1
+
+
+def embed(block: np.ndarray, dim: int) -> np.ndarray:
+    """The square block zero-padded into the leading corner of a dim x dim matrix."""
+    s = block.shape[0]
+    if s > dim:
+        raise ValueError(f"support {s} exceeds the instantiated dimension {dim}")
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[:s, :s] = block
+    return out
 
 
 def band_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:

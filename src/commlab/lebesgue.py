@@ -22,10 +22,11 @@ from .functionals import (
     detect_limit,
     eval_functional,
     eval_trace_part,
+    sampled_lower,
     trace_part_norms,
 )
 from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, gauge_value, operator_norm
-from .idealops import HermitianTuple, band_commutator, commutator_tuple
+from .idealops import HermitianTuple, band_commutator, commutator_tuple, e_norm_max
 from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
@@ -169,24 +170,6 @@ class DecompositionReport:
     diagnostics: tuple[str, ...]
 
 
-def _sampled_lower(phi, tau: HermitianTuple, gauge: GaugeSpec,
-                   test_set) -> tuple[float, int]:
-    from .idealops import e_norm_max
-
-    lower = 0.0
-    skipped = 0
-    for op in test_set:
-        try:
-            value = abs(eval_functional(phi, tau, op.matrix))
-        except NotConverged:
-            skipped += 1
-            continue
-        scale = e_norm_max(tau, gauge, op.matrix)
-        if scale > 1e-14:
-            lower = max(lower, value / scale)
-    return lower, skipped
-
-
 def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
               gauge: GaugeSpec, test_set: tuple[TestOperator, ...],
               depth: int | None = None, phi_id: str | None = None,
@@ -260,7 +243,8 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     x1, ysum = trace_part_norms(tp, gauge)
     upper_trace = x1 + ysum
     upper_tail = 1.0 if phi.singular_part is not None else 0.0
-    lower, skipped = _sampled_lower(phi, tau, gauge, test_set)
+    (lower,), skipped = sampled_lower(lambda s: eval_functional(phi, tau, s),
+                                      tau, gauge, test_set, (e_norm_max,))
     add_ok = lower <= upper_trace + upper_tail + ADDITIVITY_SLACK
     if not add_ok:
         failed = True
@@ -336,7 +320,8 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
 
         x1, ysum = trace_part_norms(tp, gauge)
         upper = x1 + ysum + (1.0 if getattr(phi, "singular_part", None) is not None else 0.0)
-        lower, _ = _sampled_lower(phi, tau, gauge, test_set)
+        (lower,), _ = sampled_lower(lambda s: eval_functional(phi, tau, s),
+                                    tau, gauge, test_set, (e_norm_max,))
         addit.append(float(max(0.0, lower - upper)))
 
     alpha, beta = coeffs

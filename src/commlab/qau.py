@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
-import csv
 import numpy as np
 
 from .gauges import GaugeSpec, gauge_norm, norm_subgradient
-from .idealops import HermitianTuple, commutator_tuple, tuple_gauge_norm
+from .idealops import HermitianTuple, commutator_tuple, embed, tuple_gauge_norm
 
 EIG_TOL = 1e-10
-LEAK_TOL = 0.0
 MONOTONE_TOL = 1e-6
 
 
@@ -37,14 +35,11 @@ class MonotonizationError(ValueError):
 @dataclass(frozen=True)
 class SolverParams:
     max_iterations: int = 2000
-    step_rule: str = "sqrt"
     step_scale: float = 1.0
     stop_tolerance: float = 1e-8
     patience: int = 50
 
     def __post_init__(self):
-        if self.step_rule != "sqrt":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.max_iterations < 0 or self.patience < 1:
             raise ValueError("solver parameters out of range")
 
@@ -54,14 +49,12 @@ class UnitCertificate:
     min_eigenvalue: float
     max_eigenvalue: float
     floor_residual: float
-    support_leak: float
 
     @property
     def ok(self) -> bool:
         return (self.min_eigenvalue >= -EIG_TOL
                 and self.max_eigenvalue <= 1.0 + EIG_TOL
-                and self.floor_residual <= EIG_TOL
-                and self.support_leak <= LEAK_TOL)
+                and self.floor_residual <= EIG_TOL)
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,6 @@ def _certify_block(block: np.ndarray, floor_m: int) -> UnitCertificate:
         min_eigenvalue=float(lam[0]),
         max_eigenvalue=float(lam[-1]),
         floor_residual=float(max(0.0, -floor_lam[0])),
-        support_leak=0.0,
     )
 
 
@@ -149,13 +141,6 @@ class OptimizeResult:
     trace: tuple[tuple[int, float, float], ...]  # (iteration, value, best)
 
 
-def _embed_block(block: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    r = block.shape[0]
-    out[:r, :r] = block
-    return out
-
-
 def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: int,
                   params: SolverParams | None = None,
                   extra_starts: tuple[np.ndarray, ...] = ()) -> OptimizeResult:
@@ -182,7 +167,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
     corners = [t[:work, :work] for t in tau.matrices]
 
     def commutators(block: np.ndarray) -> list[np.ndarray]:
-        a = _embed_block(block, work)
+        a = embed(block, work)
         return [tc @ a - a @ tc for tc in corners]
 
     def objective(block: np.ndarray) -> tuple[float, list[float], list[np.ndarray]]:
@@ -202,9 +187,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
         outer = np.asarray(raw, dtype=np.complex128)
         if outer.shape[0] > cap_r:
             continue
-        block = np.zeros((cap_r, cap_r), dtype=np.complex128)
-        block[:outer.shape[0], :outer.shape[0]] = outer
-        candidates.append(_project_window(block, floor_m))
+        candidates.append(_project_window(embed(outer, cap_r), floor_m))
 
     best_block = None
     best_value = np.inf
@@ -307,14 +290,6 @@ class KEstimateTable:
                     problems.append(
                         f"beta({m_small},{r}) > beta({m_big},{r}) + {tol:g}")
         return tuple(problems)
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "r", "beta", "iterations", "status"])
-            for c in self.cells:
-                writer.writerow([c.floor_m, c.cap_r, f"{c.beta:.17g}",
-                                 c.iterations, c.status])
 
 
 def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,

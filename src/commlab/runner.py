@@ -11,23 +11,22 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .functionals import NotConverged
 from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, holder_check,
                      norm_subgradient, operator_norm)
 from .lebesgue import DecompositionReport, decompose
-from .qau import (CertificationError, MonotonizationError, UnitSchedule,
-                  build_schedule, k_estimate)
+from .qau import UnitSchedule, build_schedule, k_estimate
 from .sampling import generate_test_set
 
-STAGES = ("gauge-check", "k-estimate", "schedule", "decompose")
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _CHECK_DIMS = (2, 3, 4, 5, 6, 7, 8)
 _CHECK_SAMPLES = 24
 _REL_TOL = 1e-9
+_FAILURE_KINDS = ("triangle", "unitary", "ideal", "holder", "involution", "subgradient")
 
 
 def _c(value: complex) -> list[float]:
@@ -60,8 +59,7 @@ def _random_unitary(rng, dim: int) -> np.ndarray:
 def _gauge_battery(gauge: GaugeSpec, seed: int) -> dict:
     """Axiom and duality checks on seeded matrices; returns failure counts."""
     rng = np.random.default_rng(seed)
-    failures = {"triangle": 0, "unitary": 0, "ideal": 0, "holder": 0,
-                "involution": 0, "subgradient": 0}
+    failures = dict.fromkeys(_FAILURE_KINDS, 0)
     back = conjugate_gauge(conjugate_gauge(gauge))
     if (back.family, back.p, back.k) != (gauge.family, gauge.p, gauge.k):
         failures["involution"] = 1
@@ -99,6 +97,17 @@ def _gauge_battery(gauge: GaugeSpec, seed: int) -> dict:
     return failures
 
 
+def _header(config: ExperimentConfig) -> dict:
+    """The fields every stage payload carries besides its results."""
+    return {"schema_version": SCHEMA_VERSION, "seed": config.seed,
+            "passed": True, "diagnostics": []}
+
+
+def _tuple_header(config: ExperimentConfig) -> dict:
+    return {**_header(config), "model": config.model.name,
+            "dimension": config.dimension, "gauge": config.primary_gauge.label}
+
+
 def stage_gauge_check(config: ExperimentConfig) -> dict:
     checks = []
     for gauge in config.gauges:
@@ -110,8 +119,8 @@ def stage_gauge_check(config: ExperimentConfig) -> dict:
             "failures": failures,
             "passed": not any(failures.values()),
         })
-    return {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-            "checks": checks, "passed": all(c["passed"] for c in checks)}
+    return {**_header(config), "checks": checks,
+            "passed": all(c["passed"] for c in checks)}
 
 
 def stage_k_estimate(config: ExperimentConfig, jobs: int = 1) -> dict:
@@ -119,17 +128,11 @@ def stage_k_estimate(config: ExperimentConfig, jobs: int = 1) -> dict:
         raise ConfigError("windows.floors", "required for the k-estimate stage")
     if not config.caps:
         raise ConfigError("windows.caps", "required for the k-estimate stage")
-    tau = config.instantiate()
-    gauge = config.primary_gauge
-    table = k_estimate(tau, gauge, config.floors, config.caps,
-                       params=config.solver, jobs=jobs)
+    table = k_estimate(config.instantiate(), config.primary_gauge, config.floors,
+                       config.caps, params=config.solver, jobs=jobs)
     violations = list(table.monotonicity_violations())
     return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
-        "model": config.model.name,
-        "dimension": config.dimension,
-        "gauge": gauge.label,
+        **_tuple_header(config),
         "floors": list(table.floors),
         "caps": list(table.caps),
         "cells": [{"m": c.floor_m, "r": c.cap_r, "beta": c.beta,
@@ -150,35 +153,16 @@ def _build_configured_schedule(config: ExperimentConfig) -> UnitSchedule:
 
 
 def stage_schedule(config: ExperimentConfig) -> dict:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
-        "model": config.model.name,
-        "dimension": config.dimension,
-        "gauge": config.primary_gauge.label,
-        "mode": config.schedule_mode,
-        "steps": [],
-        "passed": True,
-        "diagnostics": [],
-    }
-    try:
-        schedule = _build_configured_schedule(config)
-    except (CertificationError, MonotonizationError, ValueError) as err:
-        payload["passed"] = False
-        payload["diagnostics"] = [str(err)]
-        return payload
-    for unit, norm in zip(schedule.steps, schedule.commutator_norms):
-        cert = unit.certificate
-        payload["steps"].append({
-            "floor": unit.floor_m,
-            "cap": unit.cap_r,
-            "commutator_norm": norm,
-            "min_eigenvalue": cert.min_eigenvalue,
-            "max_eigenvalue": cert.max_eigenvalue,
-            "floor_residual": cert.floor_residual,
-            "support_leak": cert.support_leak,
-        })
-    return payload
+    schedule = _build_configured_schedule(config)
+    steps = [{
+        "floor": unit.floor_m,
+        "cap": unit.cap_r,
+        "commutator_norm": norm,
+        "min_eigenvalue": unit.certificate.min_eigenvalue,
+        "max_eigenvalue": unit.certificate.max_eigenvalue,
+        "floor_residual": unit.certificate.floor_residual,
+    } for unit, norm in zip(schedule.steps, schedule.commutator_norms)]
+    return {**_tuple_header(config), "mode": config.schedule_mode, "steps": steps}
 
 
 def _report_payload(report: DecompositionReport) -> dict:
@@ -220,56 +204,81 @@ def stage_decompose(config: ExperimentConfig) -> dict:
                            phi_id=phi.label or f"phi-{i}",
                            schedule_id=f"{config.schedule_mode}-{len(schedule)}")
         reports.append(_report_payload(report))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
-        "model": config.model.name,
-        "dimension": config.dimension,
-        "gauge": gauge.label,
-        "reports": reports,
-        "passed": all(r["status"] == "ok" for r in reports),
-    }
+    return {**_tuple_header(config), "reports": reports,
+            "passed": all(r["status"] == "ok" for r in reports)}
 
 
-_STAGE_STEMS = {"gauge-check": "gauge_checks", "k-estimate": "k_estimate",
-                "schedule": "schedule", "decompose": "decomposition"}
+def _gauge_check_rows(payload: dict) -> list:
+    return [[c["gauge"], c["samples"], *(c["failures"][k] for k in _FAILURE_KINDS),
+             c["passed"]] for c in payload["checks"]]
 
 
-def _write_stage(out: Path, name: str, payload: dict, formats) -> list[str]:
+def _decompose_rows(payload: dict) -> list:
+    rows = []
+    for rep in payload["reports"]:
+        for rec in rep["per_S"]:
+            for k, value in enumerate(rec["sequence"], start=1):
+                bound = rec["bounds"][k - 1] if k <= len(rec["bounds"]) else ""
+                gap = rec["gaps"][k - 1] if k <= len(rec["gaps"]) else ""
+                rows.append([rep["phi_id"], rec["S_id"], k, value[0], value[1], bound, gap])
+    return rows
+
+
+def _columns(key: str, header: tuple[str, ...]) -> Callable[[dict], list]:
+    return lambda payload: [[item[h] for h in header] for item in payload[key]]
+
+
+class Stage(NamedTuple):
+    """A pipeline stage: its CLI name and help, how it computes, what it writes.
+
+    `empty` gives the payload with no results, written with passed false
+    when the computation or its writing fails.
+    """
+
+    name: str
+    help: str
+    compute: Callable[[ExperimentConfig, int], dict]
+    stem: str
+    csv_header: tuple[str, ...]
+    csv_rows: Callable[[dict], list]
+    empty: Callable[[ExperimentConfig], dict]
+
+
+_CELL_COLUMNS = ("m", "r", "beta", "iterations", "status")
+_STEP_COLUMNS = ("floor", "cap", "commutator_norm")
+
+# Stage functions are looked up when a stage runs, not bound here, so a
+# rebinding of runner.stage_* (the benchmark's tracer does that) takes effect.
+STAGES = (
+    Stage("gauge-check", "run the gauge axiom and duality battery",
+          lambda config, jobs: stage_gauge_check(config), "gauge_checks",
+          ("gauge", "samples", *_FAILURE_KINDS, "passed"), _gauge_check_rows,
+          lambda config: {**_header(config), "checks": []}),
+    Stage("k-estimate", "tabulate certified commutator-norm values over a window grid",
+          lambda config, jobs: stage_k_estimate(config, jobs), "k_estimate",
+          _CELL_COLUMNS, _columns("cells", _CELL_COLUMNS),
+          lambda config: {**_tuple_header(config), "floors": [], "caps": [], "cells": [],
+                          "estimate": None, "monotonicity_violations": []}),
+    Stage("schedule", "build and certify a monotone unit schedule",
+          lambda config, jobs: stage_schedule(config), "schedule",
+          _STEP_COLUMNS, _columns("steps", _STEP_COLUMNS),
+          lambda config: {**_tuple_header(config), "mode": config.schedule_mode,
+                          "steps": []}),
+    Stage("decompose", "recover trace parts of the configured functionals",
+          lambda config, jobs: stage_decompose(config), "decomposition",
+          ("phi_id", "S_id", "step", "value_re", "value_im", "bound", "gap"),
+          _decompose_rows, lambda config: {**_tuple_header(config), "reports": []}),
+)
+
+
+def _write_stage(out: Path, stage: Stage, payload: dict, formats) -> list[str]:
     written = []
-    base = _STAGE_STEMS[name]
     if "json" in formats:
-        write_json(out / f"{base}.json", payload)
-        written.append(f"{base}.json")
+        write_json(out / f"{stage.stem}.json", payload)
+        written.append(f"{stage.stem}.json")
     if "csv" in formats:
-        rows: list = []
-        if name == "gauge-check":
-            header = ["gauge", "samples", "triangle", "unitary", "ideal",
-                      "holder", "involution", "subgradient", "passed"]
-            for c in payload["checks"]:
-                f = c["failures"]
-                rows.append([c["gauge"], c["samples"], f["triangle"], f["unitary"],
-                             f["ideal"], f["holder"], f["involution"],
-                             f["subgradient"], c["passed"]])
-        elif name == "k-estimate":
-            header = ["m", "r", "beta", "iterations", "status"]
-            rows = [[c["m"], c["r"], c["beta"], c["iterations"], c["status"]]
-                    for c in payload["cells"]]
-        elif name == "schedule":
-            header = ["floor", "cap", "commutator_norm"]
-            rows = [[s["floor"], s["cap"], s["commutator_norm"]]
-                    for s in payload["steps"]]
-        else:
-            header = ["phi_id", "S_id", "step", "value_re", "value_im", "bound", "gap"]
-            for rep in payload["reports"]:
-                for rec in rep["per_S"]:
-                    for k, value in enumerate(rec["sequence"], start=1):
-                        bound = rec["bounds"][k - 1] if k <= len(rec["bounds"]) else ""
-                        gap = rec["gaps"][k - 1] if k <= len(rec["gaps"]) else ""
-                        rows.append([rep["phi_id"], rec["S_id"], k,
-                                     value[0], value[1], bound, gap])
-        write_csv(out / f"{base}.csv", header, rows)
-        written.append(f"{base}.csv")
+        write_csv(out / f"{stage.stem}.csv", stage.csv_header, stage.csv_rows(payload))
+        written.append(f"{stage.stem}.csv")
     return written
 
 
@@ -278,33 +287,34 @@ def run_experiment(config: ExperimentConfig, out_dir, stages=None,
     """Run the requested stages, write their artifacts, return the summary.
 
     Stages default to the full pipeline and always execute in pipeline
-    order.  The summary payload is also written to summary.json.
+    order.  A stage whose computation or writing raises a numerical error
+    (ValueError or ArithmeticError) writes its empty payload with passed
+    false and the message in `diagnostics`.  The summary payload is also
+    written to summary.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    names = tuple(stage.name for stage in STAGES)
     if stages is None:
-        stages = STAGES
-    for stage in stages:
-        if stage not in STAGES:
-            raise ConfigError("<stages>", f"unknown stage {stage!r}")
+        stages = names
+    for name in stages:
+        if name not in names:
+            raise ConfigError("<stages>", f"unknown stage {name!r}")
 
     summary: dict = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
                      "stages": {}, "passed": True}
     artifacts: list[str] = []
     for stage in STAGES:
-        if stage not in stages:
+        if stage.name not in stages:
             continue
-        if stage == "gauge-check":
-            payload = stage_gauge_check(config)
-        elif stage == "k-estimate":
-            payload = stage_k_estimate(config, jobs=jobs)
-        elif stage == "schedule":
-            payload = stage_schedule(config)
-        else:
-            payload = stage_decompose(config)
-        files = _write_stage(out, stage, payload, config.formats)
+        try:
+            payload = stage.compute(config, jobs)
+            files = _write_stage(out, stage, payload, config.formats)
+        except (ValueError, ArithmeticError) as err:
+            payload = {**stage.empty(config), "passed": False, "diagnostics": [str(err)]}
+            files = _write_stage(out, stage, payload, config.formats)
         artifacts.extend(files)
-        summary["stages"][stage] = {"passed": payload["passed"], "artifacts": files}
+        summary["stages"][stage.name] = {"passed": payload["passed"], "artifacts": files}
         summary["passed"] = summary["passed"] and payload["passed"]
     summary["artifacts"] = artifacts
     write_json(out / "summary.json", summary)

@@ -1,4 +1,4 @@
-"""Seeded generation of test operators and random functional data."""
+"""Seeded generation of test operators."""
 
 from __future__ import annotations
 
@@ -87,9 +87,3 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
         m.setflags(write=False)
         ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind))
     return tuple(ops)
-
-
-def random_block(rng: np.random.Generator, support: int, scale: float = 1.0) -> np.ndarray:
-    """Dense complex block used for trace-part and predual data."""
-    g = rng.standard_normal((support, support)) + 1j * rng.standard_normal((support, support))
-    return scale * g / max(1, support)

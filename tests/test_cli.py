@@ -1,15 +1,20 @@
 """Config validation, the pipeline runner, artifact formats, and exit codes."""
 
+import argparse
 import copy
+import functools
 import json
+import operator
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import commlab
-from commlab import ConfigError, parse_config
-from commlab.cli import main
+from commlab import ConfigError, parse_config, runner
+from commlab.cli import build_parser, main
 
 SCHEMA_DIR = Path(commlab.__file__).parent / "schemas"
 
@@ -166,6 +171,72 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage, edit, path", [
+    ("gauge-check",
+     lambda c: c["functionals"][0]["singular_part"].update(windows=[[17, 17], [18, 3]]),
+     "functionals[0].singular_part.windows[1]"),
+    ("gauge-check", lambda c: c["model"].update(parameters=[1.0, 0]), "model"),
+    ("gauge-check", lambda c: c.update(model={"name": "diagonal-grid", "parameters": [0]}),
+     "model"),
+    ("k-estimate", lambda c: c["solver"].update(step_rule="sqrt"), "solver.step_rule"),
+], ids=["tail-window-start-after-end", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
+        "removed-step-rule"])
+def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
+    cfg = copy.deepcopy(BASE)
+    edit(cfg)
+    code = run_cli(stage, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage, edit, stem", [
+    ("decompose", lambda c: c["windows"].update(schedule=[[1, 2], [1, 3], [1, 4]]),
+     "decomposition"),
+    ("decompose", lambda c: c["windows"].update(schedule=[[2, 4], [1, 6]]), "decomposition"),
+    ("k-estimate", lambda c: c["model"].update(parameters=[1e308, 400]), "k_estimate"),
+    ("decompose", lambda c: c["functionals"][0]["trace_part"].update(
+        x=[[1e308, 1e308], [1e308, 1e308]]), "decomposition"),
+], ids=["march-condition", "decreasing-floors", "entries-overflow", "inf-in-artifact"])
+def test_cli_numerical_failure_is_a_failed_stage(tmp_path, capsys, stage, edit, stem):
+    cfg = copy.deepcopy(BASE)
+    edit(cfg)
+    out = tmp_path / "o"
+    code = run_cli(stage, "--config", write_config(tmp_path, cfg), "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"{stage}: FAIL" in captured.out
+    assert "Traceback" not in captured.err
+    payload = json.loads((out / f"{stem}.json").read_text(encoding="utf-8"))
+    schema = json.loads((SCHEMA_DIR / f"{stem}.schema.json").read_text(encoding="utf-8"))
+    jsonschema.validate(payload, schema)
+    assert payload["passed"] is False
+    assert payload["diagnostics"]
+
+
+def test_cli_subcommands_are_the_stage_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted([s.name for s in runner.STAGES] + ["report"])
+
+
+def test_run_experiment_calls_stages_through_the_module(tmp_path, monkeypatch):
+    # a tracer that rebinds runner.stage_* must see every stage call
+    calls = []
+    original = runner.stage_schedule
+
+    def patched(config):
+        calls.append(config.seed)
+        return original(config)
+
+    monkeypatch.setattr(runner, "stage_schedule", patched)
+    summary = runner.run_experiment(parse_config(copy.deepcopy(BASE)), tmp_path,
+                                    stages=("schedule",))
+    assert calls == [BASE["seed"]]
+    assert summary["stages"]["schedule"]["passed"]
+
+
 def test_cli_failing_stage_exits_one(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     # floors jump backwards past an earlier cap: the schedule cannot march
@@ -286,3 +357,63 @@ def test_rerun_is_byte_identical(tmp_path):
     assert files_a == sorted(p.name for p in out_b.iterdir())
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# ------------------------------------------------------------ fuzzed configs
+
+# The README config scaled to N = 32, with the tail windows past the last cap;
+# the last one is three wide, so swapping its ends makes a reversed window.
+SMALL = {
+    "seed": 7,
+    "model": {"name": "lap-pos", "parameters": [1.0, 400]},
+    "dimension": 32,
+    "gauges": [{"family": "schatten", "p": 2.0}],
+    "windows": {
+        "floors": [2],
+        "caps": [8, 12],
+        "schedule": [[1, 2], [2, 4], [4, 8], [8, 12], [10, 16], [12, 20], [16, 24]],
+    },
+    "functionals": [{
+        "label": "phi-a",
+        "trace_part": {"x": [[1.0]], "ys": [None, None]},
+        "singular_part": {"windows": [[25, 25], [26, 26], [27, 27], [28, 28], [29, 29],
+                                      [30, 32]]},
+    }],
+    "test_set": {"count": 5, "kinds": ["finitely-supported", "banded"]},
+}
+_FIXED = {"dimension", "count"}  # sizes and budgets are never fuzzed
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = [(k, v) for k, v in node.items() if k not in _FIXED]
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for k, v in items for leaf in _numeric_leaves(v, path + (k,))]
+
+
+_LEAVES = _numeric_leaves(SMALL)
+_WINDOWS = sorted({leaf[:-1] for leaf in _LEAVES
+                   if len(leaf) > 2 and leaf[-3] in ("schedule", "windows")
+                   and isinstance(leaf[-2], int)})
+_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(_LEAVES), st.sampled_from([0, -1, 1e-300, 1e300, -1e300, 1e308])),
+    st.tuples(st.sampled_from(_WINDOWS), st.just("swap")))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_MUTATIONS)
+def test_cli_contract_holds_on_fuzzed_configs(mutation):
+    path, value = mutation
+    cfg = copy.deepcopy(SMALL)
+    if value == "swap":
+        functools.reduce(operator.getitem, path, cfg).reverse()
+    else:
+        functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for stage in runner.STAGES:
+            assert main([stage.name, "--config", str(path), "--out", tmp]) in (0, 1, 2)

@@ -87,7 +87,6 @@ def test_ramp_certificate_fields():
     assert cert.min_eigenvalue >= -1e-10
     assert cert.max_eigenvalue <= 1.0 + 1e-10
     assert cert.floor_residual <= 1e-10
-    assert cert.support_leak == 0.0
     assert np.all(unit.matrix[10:, :] == 0)
     assert np.all(unit.matrix[:, 10:] == 0)
 

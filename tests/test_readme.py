@@ -1,0 +1,24 @@
+"""The README's library quick start and its config run as documented."""
+
+import re
+from pathlib import Path
+
+from commlab.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(lang: str) -> str:
+    return re.search(rf"```{lang}\n(.*?)```", README, re.S).group(1)
+
+
+def test_readme_python_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_block("python"), "README.md", "exec"), {})
+
+
+def test_readme_config_passes_every_stage(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_block("json"), encoding="utf-8")
+    for stage in ("gauge-check", "k-estimate", "schedule", "decompose"):
+        assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
