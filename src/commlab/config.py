@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -327,6 +328,11 @@ def parse_config(data) -> ExperimentConfig:
     if dimension < 2 * model.bandwidth + 2:
         raise ConfigError("dimension",
                           f"model {model.name!r} needs dimension >= {2 * model.bandwidth + 2}")
+    need = model.n * 16 * dimension ** 2
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ConfigError("dimension", f"{model.n} dense operators need {need} bytes, "
+                                       f"more than the {memory} bytes of physical memory")
 
     gauge_items = _expect_list(d["gauges"], "gauges")
     if not gauge_items:

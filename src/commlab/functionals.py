@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, norm_subgradient
-from .idealops import HermitianTuple, e_norm_max, e_norm_sum, embed
+from .idealops import HermitianTuple, band_commutator, e_norm_max, e_norm_sum, embed
 from .sampling import SampleSpec, generate_test_set
 
 DETECTION_RUN = 5
@@ -126,9 +126,7 @@ def eval_trace_part(tp: TracePart, tau: HermitianTuple, s) -> complex:
         if sy == 0:
             continue
         c = min(tau.dimension, sy + tau.bandwidth)
-        tc = t[:c, :c]
-        pc = sm[:c, :c]
-        k = tc @ pc - pc @ tc
+        k = band_commutator(t, sm[:c, :c], tau.bandwidth)
         value += complex(np.trace(y @ k[:sy, :sy]))
     return value
 
@@ -150,9 +148,7 @@ def reduce_to_trace(tp: TracePart, tau: HermitianTuple) -> np.ndarray:
         if sy == 0:
             continue
         c = sy + tau.bandwidth
-        tc = t[:c, :c]
-        ye = embed(y, c)
-        out[:c, :c] -= tc @ ye - ye @ tc
+        out[:c, :c] -= band_commutator(t, embed(y, c), tau.bandwidth)
     return out
 
 
@@ -403,14 +399,13 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         raise ValueError("supports exceed instantiation")
     dual = conjugate_gauge(gauge)
     work = min(tau.dimension, max(window, tp.support) + tau.bandwidth)
-    corners = [t[:work, :work] for t in tau.matrices]
     xe = embed(tp.x, work)
     yes = [embed(y, work) for y in tp.ys]
 
     def representative(ws):
         first = xe.copy()
-        for tc, w in zip(corners, ws):
-            first += tc @ w - w @ tc
+        for t, w in zip(tau.matrices, ws):
+            first += band_commutator(t, w, tau.bandwidth)
         return first
 
     def cost(ws) -> float:
@@ -423,21 +418,17 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         out[:window, :window] = m[:window, :window]
         return out
 
-    zero_ws = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
-    best = cost(zero_ws)
-    neg_ws = [blocked(-y) for y in yes]
-    best = min(best, cost(neg_ws))
-
-    ws = [w.copy() for w in zero_ws]
+    ws = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
     current = cost(ws)
+    best = min(current, cost([blocked(-y) for y in yes]))
     iterations = 0
     for it in range(max_iterations):
         iterations = it + 1
         first = representative(ws)
         d1 = norm_subgradient(GaugeSpec(family="schatten", p=1.0), first)
         grads = []
-        for tc, y, w in zip(corners, yes, ws):
-            g = tc @ d1 - d1 @ tc + norm_subgradient(dual, y + w)
+        for t, y, w in zip(tau.matrices, yes, ws):
+            g = band_commutator(t, d1, tau.bandwidth) + norm_subgradient(dual, y + w)
             grads.append(blocked(g))
         gsq = sum(float(np.linalg.norm(g)) ** 2 for g in grads)
         if gsq <= 1e-30 or current <= 1e-14:

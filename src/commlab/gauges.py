@@ -109,7 +109,10 @@ def gauge_value(gauge: GaugeSpec, values) -> float:
             return float(t.sum())
         if gauge.p == 2:
             return float(np.sqrt((t * t).sum()))
-        return float((t ** gauge.p).sum() ** (1.0 / gauge.p))
+        if t[0] == 0 or np.isinf(t[0]):
+            return float(t[0])
+        # scaled by the largest value so that t ** p cannot overflow
+        return float(t[0] * ((t / t[0]) ** gauge.p).sum() ** (1.0 / gauge.p))
     if gauge.family == KY_FAN:
         return float(t[: gauge.k].sum())
     if gauge.family == KY_FAN_DUAL:

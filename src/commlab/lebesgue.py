@@ -130,7 +130,7 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         corner = unit.matrix[:w, :w]
         for t, yn in zip(tau.matrices, y_norms):
             if yn:
-                k = band_commutator(t[:w, :w], corner, tau.bandwidth)
+                k = band_commutator(t, corner, tau.bandwidth)
                 total += gauge_norm(gauge, k) * yn * s_norm
     return float(total)
 

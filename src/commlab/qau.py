@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .gauges import GaugeSpec, gauge_norm, norm_subgradient
-from .idealops import HermitianTuple, commutator_tuple, embed, tuple_gauge_norm
+from .idealops import (HermitianTuple, band_commutator, commutator_tuple, embed,
+                       tuple_gauge_norm)
 
 EIG_TOL = 1e-10
 MONOTONE_TOL = 1e-6
@@ -164,21 +165,16 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
         return OptimizeResult(unit=unit, value=value, trace=((0, value, value),))
 
     work = min(dim, cap_r + band)
-    corners = [t[:work, :work] for t in tau.matrices]
-
-    def commutators(block: np.ndarray) -> list[np.ndarray]:
-        a = embed(block, work)
-        return [tc @ a - a @ tc for tc in corners]
 
     def objective(block: np.ndarray) -> tuple[float, list[float], list[np.ndarray]]:
-        ks = commutators(block)
+        a = embed(block, work)
+        ks = [band_commutator(t, a, band) for t in tau.matrices]
         norms = [gauge_norm(gauge, k) for k in ks]
         return max(norms), norms, ks
 
     def subgradient(norms: list[float], ks: list[np.ndarray]) -> np.ndarray:
         j = int(np.argmax(norms))  # lowest index wins ties
-        d = norm_subgradient(gauge, ks[j])
-        g = corners[j] @ d - d @ corners[j]
+        g = band_commutator(tau.matrices[j], norm_subgradient(gauge, ks[j]), band)
         return _hermitize(g[:cap_r, :cap_r])
 
     ramp = ramp_unit(tau, floor_m, cap_r)
@@ -189,46 +185,35 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
             continue
         candidates.append(_project_window(embed(outer, cap_r), floor_m))
 
-    best_block = None
-    best_value = np.inf
-    start_block = None
-    start_value = np.inf
+    best_block, start = None, (np.inf, None, None)
     for cand in candidates:
-        cert = _certify_block(cand, floor_m)
-        if not cert.ok:
+        if not _certify_block(cand, floor_m).ok:
             continue
-        value, _, _ = objective(cand)
-        if value < best_value:
-            best_value, best_block = value, cand
-        if value < start_value:
-            start_value, start_block = value, cand
+        evaluated = objective(cand)
+        if evaluated[0] < start[0]:
+            best_block, start = cand, evaluated
     if best_block is None:
         raise CertificationError(f"no feasible start for window ({floor_m}, {cap_r})")
+    best_value, norms, ks = start
 
-    trace = [(0, float(start_value), float(best_value))]
-    if best_value <= params.stop_tolerance or params.max_iterations == 0:
-        unit = _make_unit(best_block, floor_m, cap_r, dim)
-        return OptimizeResult(unit=unit, value=float(best_value), trace=tuple(trace))
-
-    x = start_block
-    value, norms, ks = objective(x)
-    g = subgradient(norms, ks)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= 1e-15:
-        unit = _make_unit(best_block, floor_m, cap_r, dim)
-        return OptimizeResult(unit=unit, value=float(best_value), trace=tuple(trace))
-    base_step = params.step_scale * start_value / gnorm
-
+    # _project_window is exact, so iterates need no certificate; the returned
+    # unit is certified by _make_unit.
+    trace = [(0, float(best_value), float(best_value))]
+    x = best_block
     stall = 0
     reference = best_value
+    base_step = None
     for it in range(1, params.max_iterations + 1):
+        if best_value <= params.stop_tolerance:
+            break
+        g = subgradient(norms, ks)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-15:
+            break
+        if base_step is None:
+            base_step = params.step_scale * best_value / gnorm
         step = base_step / np.sqrt(it)
         x = _project_window(x - step * g, floor_m)
-        cert = _certify_block(x, floor_m)
-        if not cert.ok:
-            raise CertificationError(
-                f"projection failed to certify at iteration {it} for window "
-                f"({floor_m}, {cap_r})")
         value, norms, ks = objective(x)
         if value < best_value:
             best_value = value
@@ -241,12 +226,6 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
         else:
             stall = 0
             reference = best_value
-        if best_value <= params.stop_tolerance:
-            break
-        g = subgradient(norms, ks)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-15:
-            break
 
     unit = _make_unit(best_block, floor_m, cap_r, dim)
     return OptimizeResult(unit=unit, value=float(best_value), trace=tuple(trace))

@@ -39,8 +39,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _non_finite_path(value, path: str = "") -> str | None:
+    """Path of the first non-finite float in sorted-key order, or None."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return path if isinstance(value, float) and not np.isfinite(value) else None
+    return next(filter(None, (_non_finite_path(v, sub) for sub, v in items)), None)
+
+
 def write_json(path: Path, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as err:
+        where = _non_finite_path(payload)
+        if where is None:
+            raise
+        raise ValueError(f"{where}: {err}") from None
     path.write_text(text + "\n", encoding="utf-8")
 
 

@@ -179,8 +179,10 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("gauge-check", lambda c: c.update(model={"name": "diagonal-grid", "parameters": [0]}),
      "model"),
     ("k-estimate", lambda c: c["solver"].update(step_rule="sqrt"), "solver.step_rule"),
+    # refused by parse_config before anything of that size is allocated
+    ("k-estimate", lambda c: c.update(dimension=10_000_000), "dimension"),
 ], ids=["tail-window-start-after-end", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
-        "removed-step-rule"])
+        "removed-step-rule", "dimension-beyond-memory"])
 def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     cfg = copy.deepcopy(BASE)
     edit(cfg)
@@ -191,15 +193,19 @@ def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("stage, edit, stem", [
+@pytest.mark.parametrize("stage, edit, stem, diagnostic", [
     ("decompose", lambda c: c["windows"].update(schedule=[[1, 2], [1, 3], [1, 4]]),
-     "decomposition"),
-    ("decompose", lambda c: c["windows"].update(schedule=[[2, 4], [1, 6]]), "decomposition"),
-    ("k-estimate", lambda c: c["model"].update(parameters=[1e308, 400]), "k_estimate"),
+     "decomposition", ""),
+    ("decompose", lambda c: c["windows"].update(schedule=[[2, 4], [1, 6]]), "decomposition",
+     ""),
+    ("k-estimate", lambda c: c["model"].update(parameters=[1e308, 400]), "k_estimate", ""),
+    # the first non-finite value in sorted-key order is named by its path
     ("decompose", lambda c: c["functionals"][0]["trace_part"].update(
-        x=[[1e308, 1e308], [1e308, 1e308]]), "decomposition"),
+        x=[[1e308, 1e308], [1e308, 1e308]]), "decomposition",
+     "reports[0].additivity.lower: "),
 ], ids=["march-condition", "decreasing-floors", "entries-overflow", "inf-in-artifact"])
-def test_cli_numerical_failure_is_a_failed_stage(tmp_path, capsys, stage, edit, stem):
+def test_cli_numerical_failure_is_a_failed_stage(tmp_path, capsys, stage, edit, stem,
+                                                 diagnostic):
     cfg = copy.deepcopy(BASE)
     edit(cfg)
     out = tmp_path / "o"
@@ -213,6 +219,7 @@ def test_cli_numerical_failure_is_a_failed_stage(tmp_path, capsys, stage, edit, 
     jsonschema.validate(payload, schema)
     assert payload["passed"] is False
     assert payload["diagnostics"]
+    assert payload["diagnostics"][0].startswith(diagnostic)
 
 
 def test_cli_subcommands_are_the_stage_table():

@@ -164,6 +164,13 @@ def test_gauge_value_homogeneous_and_monotone():
         assert gauge_value(g, s) <= gauge_value(g, t) + 1e-12
 
 
+@pytest.mark.parametrize("p, scale", [(400, 10.0), (3, 1e110)])
+def test_schatten_norm_does_not_overflow(p, scale):
+    # t ** p overflows for these values unless t is scaled first
+    want = scale * 3 ** (1 / p)
+    assert gauge_norm(schatten(p), scale * np.eye(3)) == pytest.approx(want, rel=1e-12)
+
+
 def test_gauge_value_rejects_negative_entries():
     with pytest.raises(ValueError):
         gauge_value(schatten(1), [1.0, -0.5])

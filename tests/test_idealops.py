@@ -17,6 +17,7 @@ from commlab import (
     support_size,
     tuple_gauge_norm,
 )
+from commlab.idealops import DENSE_CORNER, band_commutator
 
 MODELS = [
     OperatorModelSpec(name="diagonal-grid", n=2),
@@ -124,38 +125,45 @@ def test_commutator_trace_free_and_antihermitian():
         assert np.abs(k + k.conj().T).max() < 1e-10
 
 
-KERNEL_DIM = 24
+# Full-size operands take band_commutator's dense products at the first
+# dimension and its diagonals at the second.
+KERNEL_DIMS = (24, 96)
+assert KERNEL_DIMS[0] <= DENSE_CORNER < KERNEL_DIMS[1]
 
 
 def kernel_tuples():
     """Every built-in model, a random band-2 tuple and a dense random tuple."""
-    rng = np.random.default_rng(28)
-    tuples = [pytest.param(spec.name, instantiate_model(spec, KERNEL_DIM), id=spec.name)
-              for spec in MODELS]
-    i, j = np.indices((KERNEL_DIM, KERNEL_DIM))
-    band2 = [np.where(np.abs(i - j) <= 2, random_hermitian(rng, KERNEL_DIM), 0)
-             for _ in range(2)]
-    tuples.append(pytest.param(
-        "band-2", HermitianTuple.from_matrices(band2, bandwidth=2), id="band-2"))
-    dense = [random_hermitian(rng, KERNEL_DIM) for _ in range(2)]
-    tuples.append(pytest.param("dense", HermitianTuple.from_matrices(dense), id="dense"))
+    tuples = []
+    for dim in KERNEL_DIMS:
+        suffix = "" if dim == KERNEL_DIMS[0] else f"-{dim}"
+        rng = np.random.default_rng(28)
+        tuples += [pytest.param(spec.name, instantiate_model(spec, dim),
+                                id=spec.name + suffix) for spec in MODELS]
+        i, j = np.indices((dim, dim))
+        band2 = [np.where(np.abs(i - j) <= 2, random_hermitian(rng, dim), 0)
+                 for _ in range(2)]
+        tuples.append(pytest.param(
+            "band-2", HermitianTuple.from_matrices(band2, bandwidth=2), id="band-2" + suffix))
+        dense = [random_hermitian(rng, dim) for _ in range(2)]
+        tuples.append(pytest.param("dense", HermitianTuple.from_matrices(dense),
+                                   id="dense" + suffix))
     return tuples
 
 
-def kernel_operands():
+def kernel_operands(dim):
     """A dense, a banded and a finitely supported operand."""
     rng = np.random.default_rng(29)
-    i, j = np.indices((KERNEL_DIM, KERNEL_DIM))
-    finite = np.zeros((KERNEL_DIM, KERNEL_DIM), dtype=np.complex128)
+    i, j = np.indices((dim, dim))
+    finite = np.zeros((dim, dim), dtype=np.complex128)
     finite[:7, :7] = random_hermitian(rng, 7)
-    return [random_hermitian(rng, KERNEL_DIM),
-            np.where(np.abs(i - j) <= 3, random_hermitian(rng, KERNEL_DIM), 0),
+    return [random_hermitian(rng, dim),
+            np.where(np.abs(i - j) <= 3, random_hermitian(rng, dim), 0),
             finite]
 
 
 @pytest.mark.parametrize("name, tau", kernel_tuples())
 def test_commutator_matches_dense_reference(name, tau):
-    for s in kernel_operands():
+    for s in kernel_operands(tau.dimension):
         for t, got in zip(tau.matrices, commutator_tuple(tau, s)):
             want = t @ s - s @ t
             if name == "dense":  # bandwidth N - 1 takes the dense products
@@ -168,18 +176,36 @@ def test_commutator_matches_dense_reference(name, tau):
 def test_commutator_bitwise_on_diagonal_operands(name, tau):
     # Ramp units are real diagonal; their commutator norms (k-estimate
     # ramps, schedule commutator norms) must not move in the last bit.
+    dim = tau.dimension
     rng = np.random.default_rng(30)
-    ramp = np.diag(np.clip(np.linspace(1.5, -0.5, KERNEL_DIM), 0.0, 1.0))
-    ramp[KERNEL_DIM // 2:] = 0.0  # finite support: the corner route
-    operands = [ramp, np.diag(rng.standard_normal(KERNEL_DIM))]
+    ramp = np.diag(np.clip(np.linspace(1.5, -0.5, dim), 0.0, 1.0))
+    ramp[dim // 2:] = 0.0  # finite support: the corner route
+    operands = [ramp, np.diag(rng.standard_normal(dim))]
     if name in {spec.name for spec in MODELS}:
         # built-in entries are real or imaginary, so complex products are
         # exact roundings too; a general complex T may differ by an ulp
-        operands.append(np.diag(rng.standard_normal(KERNEL_DIM)
-                                + 1j * rng.standard_normal(KERNEL_DIM)))
+        operands.append(np.diag(rng.standard_normal(dim)
+                                + 1j * rng.standard_normal(dim)))
     for s in operands:
         for t, got in zip(tau.matrices, commutator_tuple(tau, s)):
             assert np.array_equal(got, t @ s - s @ t)
+
+
+@pytest.mark.parametrize("c", [20, 100], ids=["dense-corner", "diagonal-corner"])
+@pytest.mark.parametrize("spec", MODELS, ids=lambda s: s.name)
+def test_band_commutator_on_a_leading_corner(spec, c):
+    # The full T with a c x c operand supported in its leading c - b block,
+    # as qau, functionals and lebesgue call the kernel.
+    rng = np.random.default_rng(31)
+    tau = instantiate_model(spec, 160)
+    b = tau.bandwidth
+    s = np.zeros((160, 160), dtype=np.complex128)
+    s[:c - b, :c - b] = random_hermitian(rng, c - b)
+    for t in tau.matrices:
+        got = band_commutator(t, s[:c, :c], b)
+        want = (t @ s - s @ t)[:c, :c]
+        assert got.shape == (c, c)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_commutator_dimension_mismatch():
