@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, norm_subgradient
+from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, norm_value_and_subgradient,
+                     schatten)
 from .idealops import HermitianTuple, band_commutator, e_norm_max, e_norm_sum, embed
 from .sampling import SampleSpec, generate_test_set
 
+_TRACE_NORM = schatten(1.0)
 DETECTION_RUN = 5
 STATE_TOL = 1e-12
 
@@ -267,7 +269,7 @@ def combined_trace_part(phi, tau: HermitianTuple) -> TracePart:
     """The (exactly combined) trace part of a functional or combination."""
     if isinstance(phi, FunctionalSpec):
         return phi.trace_part if phi.trace_part is not None \
-            else TracePart.zero(tau.n, _default_gauge(phi))
+            else TracePart.zero(tau.n, schatten(2.0))
     parts = [(c, t.trace_part) for c, t in phi.terms if t.trace_part is not None]
     if not parts:
         raise ValueError("combination has no trace part")
@@ -281,13 +283,6 @@ def combined_trace_part(phi, tau: HermitianTuple) -> TracePart:
         for j, y in enumerate(p.ys):
             ys[j][:y.shape[0], :y.shape[0]] += c * y
     return TracePart(x=x, ys=tuple(ys), gauge=gauge)
-
-
-def _default_gauge(phi: FunctionalSpec) -> GaugeSpec:
-    if phi.trace_part is not None:
-        return phi.trace_part.gauge
-    from .gauges import schatten
-    return schatten(2.0)
 
 
 def eval_functional(phi, tau: HermitianTuple, s, depth: int | None = None) -> complex:
@@ -306,14 +301,13 @@ def eval_functional(phi, tau: HermitianTuple, s, depth: int | None = None) -> co
 def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, float]:
     """(trace norm of X, sum of conjugate-gauge norms of the Y_j)."""
     dual = conjugate_gauge(gauge)
-    x1 = gauge_norm(GaugeSpec(family="schatten", p=1.0), tp.x) if tp.x.size else 0.0
+    x1 = gauge_norm(_TRACE_NORM, tp.x) if tp.x.size else 0.0
     ysum = sum(gauge_norm(dual, y) for y in tp.ys if y.size)
     return float(x1), float(ysum)
 
 
-def sampled_lower(evaluate, tau: HermitianTuple, gauge: GaugeSpec, test_ops,
-                  norms) -> tuple[list[float], int]:
-    """Per norm, the largest |evaluate(S)| / norm(tau, gauge, S) over the test set.
+def sampled_lower(evaluate, test_ops, norms) -> tuple[list[float], int]:
+    """Per norm, the largest |evaluate(op.matrix)| / norm(op) over the test set.
 
     Operators whose evaluation raises NotConverged are skipped and counted;
     a norm at or below 1e-14 contributes nothing.  Returns (lowers, skipped).
@@ -327,7 +321,7 @@ def sampled_lower(evaluate, tau: HermitianTuple, gauge: GaugeSpec, test_ops,
             skipped += 1
             continue
         for i, norm in enumerate(norms):
-            scale = norm(tau, gauge, op.matrix)
+            scale = norm(op)
             if scale > 1e-14:
                 lowers[i] = max(lowers[i], value / scale)
     return lowers, skipped
@@ -360,7 +354,9 @@ def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: Gaug
 
     ops = generate_test_set(sample_spec, tau, gauge)
     (lower, lower_alt), skipped = sampled_lower(
-        lambda s: eval_functional(phi, tau, s), tau, gauge, ops, (e_norm_max, e_norm_sum))
+        lambda s: eval_functional(phi, tau, s), ops,
+        (lambda op: e_norm_max(tau, gauge, op.matrix),
+         lambda op: e_norm_sum(tau, gauge, op.matrix)))
     return NormBounds(lower=lower, upper=upper, lower_alt=lower_alt,
                       upper_alt=upper_alt, skipped=skipped, samples=len(ops))
 
@@ -402,45 +398,40 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     xe = embed(tp.x, work)
     yes = [embed(y, work) for y in tp.ys]
 
-    def representative(ws):
-        first = xe.copy()
-        for t, w in zip(tau.matrices, ws):
-            first += band_commutator(t, w, tau.bandwidth)
-        return first
-
-    def cost(ws) -> float:
-        first = representative(ws)
-        return (gauge_norm(GaugeSpec(family="schatten", p=1.0), first)
-                + sum(gauge_norm(dual, y + w) for y, w in zip(yes, ws)))
-
     def blocked(m: np.ndarray) -> np.ndarray:
         out = np.zeros_like(m)
         out[:window, :window] = m[:window, :window]
         return out
 
+    def evaluate(ws) -> tuple[float, list[np.ndarray]]:
+        # the cost and its blocked subgradients from one SVD of x + sum_j [T_j, w_j]
+        first = xe.copy()
+        for t, w in zip(tau.matrices, ws):
+            first += band_commutator(t, w, tau.bandwidth)
+        trace_norm, d1 = norm_value_and_subgradient(_TRACE_NORM, first)
+        duals = [norm_value_and_subgradient(dual, y + w) for y, w in zip(yes, ws)]
+        grads = [blocked(band_commutator(t, d1, tau.bandwidth) + d)
+                 for t, (_, d) in zip(tau.matrices, duals)]
+        return trace_norm + sum(v for v, _ in duals), grads
+
     ws = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
-    current = cost(ws)
-    best = min(current, cost([blocked(-y) for y in yes]))
+    current, grads = evaluate(ws)
+    best = min(current, evaluate([blocked(-y) for y in yes])[0])
     iterations = 0
     for it in range(max_iterations):
         iterations = it + 1
-        first = representative(ws)
-        d1 = norm_subgradient(GaugeSpec(family="schatten", p=1.0), first)
-        grads = []
-        for t, y, w in zip(tau.matrices, yes, ws):
-            g = band_commutator(t, d1, tau.bandwidth) + norm_subgradient(dual, y + w)
-            grads.append(blocked(g))
         gsq = sum(float(np.linalg.norm(g)) ** 2 for g in grads)
         if gsq <= 1e-30 or current <= 1e-14:
             break
         step = current / gsq
         ws = [w - step * g for w, g in zip(ws, grads)]
-        current = cost(ws)
+        current, grads = evaluate(ws)
         if current < best:
             best = current
         if best <= 1e-14:
             break
 
-    (lower,), _ = sampled_lower(lambda s: eval_trace_part(tp, tau, s), tau, gauge,
-                                generate_test_set(sample_spec, tau, gauge), (e_norm_max,))
+    (lower,), _ = sampled_lower(lambda s: eval_trace_part(tp, tau, s),
+                                generate_test_set(sample_spec, tau, gauge),
+                                (lambda op: e_norm_max(tau, gauge, op.matrix),))
     return QuotientBounds(lower=float(lower), upper=float(best), iterations=iterations)

@@ -120,27 +120,26 @@ def gauge_value(gauge: GaugeSpec, values) -> float:
     return float(t[0])
 
 
-def singular_values(matrix) -> np.ndarray:
-    """Nonincreasing singular values of a square matrix."""
-    m = np.asarray(matrix)
+def _square(matrix, dtype=None) -> np.ndarray:
+    m = np.asarray(matrix, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return np.linalg.svd(m, compute_uv=False)
+    return m
+
+
+def singular_values(matrix) -> np.ndarray:
+    """Nonincreasing singular values of a square matrix."""
+    return np.linalg.svd(_square(matrix), compute_uv=False)
 
 
 def gauge_norm(gauge: GaugeSpec, matrix) -> float:
     """Gauge norm of a matrix: the gauge applied to its singular values."""
-    m = np.asarray(matrix)
     if gauge.family == SCHATTEN and gauge.p == 2:
         # Frobenius route, identical value without the factorization.
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if m.size and not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        return float(np.linalg.norm(m))
-    return gauge_value(gauge, singular_values(m))
+        return float(np.linalg.norm(_square(matrix)))
+    return gauge_value(gauge, singular_values(matrix))
 
 
 def operator_norm(matrix) -> float:
@@ -185,25 +184,26 @@ def holder_check(x, y, gauge: GaugeSpec) -> HolderReport:
     return HolderReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-9 * (1.0 + rhs))
 
 
-def norm_subgradient(gauge: GaugeSpec, matrix) -> np.ndarray:
-    """A dual-aligned subgradient D of the gauge norm at `matrix`.
+def norm_value_and_subgradient(gauge: GaugeSpec, matrix) -> tuple[float, np.ndarray]:
+    """The gauge norm of M and a dual-aligned subgradient D, from one factorization.
 
-    D satisfies Re<D, M> = |M|_gauge with conjugate gauge norm of D at most
-    one; it is built as U f(sigma) V* from the singular value decomposition.
-    Returns the zero matrix when `matrix` vanishes.
+    Re<D, M> = |M|_gauge and D has conjugate gauge norm at most one; D = 0
+    when M vanishes.  Schatten-2 takes D = M / |M|_F with no SVD; other
+    gauges take D = U f(sigma) V*.
     """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    m = _square(matrix, np.complex128)
+    if gauge.family == SCHATTEN and gauge.p == 2:
+        value = float(np.linalg.norm(m))
+        return value, (m / value if value > 0.0 else np.zeros_like(m))
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(m)
+        return 0.0, np.zeros_like(m)
+    value = gauge_value(gauge, s)
     f = np.zeros_like(s)
     if gauge.family == SCHATTEN:
         if gauge.p == 1:
             f[s > 1e-14 * s[0]] = 1.0
         else:
-            value = gauge_value(gauge, s)
             f = (s / value) ** (gauge.p - 1.0)
     elif gauge.family == KY_FAN:
         f[: gauge.k] = 1.0
@@ -214,4 +214,9 @@ def norm_subgradient(gauge: GaugeSpec, matrix) -> np.ndarray:
             f[:] = 1.0 / gauge.k
     else:  # sup
         f[0] = 1.0
-    return (u * f) @ vh
+    return value, (u * f) @ vh
+
+
+def norm_subgradient(gauge: GaugeSpec, matrix) -> np.ndarray:
+    """The subgradient D of `norm_value_and_subgradient`, without the value."""
+    return norm_value_and_subgradient(gauge, matrix)[1]

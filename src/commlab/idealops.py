@@ -13,7 +13,7 @@ at O(c^2 b) cost and a small one, or a band as wide as it, by dense products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .gauges import GaugeSpec, gauge_norm, operator_norm
@@ -112,6 +112,8 @@ class HermitianTuple:
         for t in self.matrices:
             if t.ndim != 2 or t.shape != (dim, dim):
                 raise ValueError("all tuple members must be square with a common dimension")
+            if not np.all(np.isfinite(t)):
+                raise ValueError("tuple members must have finite entries")
             if np.abs(t - t.conj().T).max(initial=0.0) > HERMITIAN_TOL:
                 raise ValueError("tuple members must be hermitian")
             if not _is_banded(t, self.bandwidth):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import (
-    FunctionalCombo,
     FunctionalSpec,
     NotConverged,
     TracePart,
@@ -26,7 +25,8 @@ from .functionals import (
     trace_part_norms,
 )
 from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, gauge_value, operator_norm
-from .idealops import HermitianTuple, band_commutator, commutator_tuple, e_norm_max
+from .idealops import (HermitianTuple, band_commutator, commutator_tuple, e_norm_max,
+                       tuple_gauge_norm)
 from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
@@ -190,6 +190,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     diagnostics: list[str] = []
     records: list[RecoveryRecord] = []
     limits: dict[str, complex] = {}
+    e_norms: dict[str, float] = {}  # e_norm_max of each operator, for the additivity check
     failed = False
 
     for op in test_set:
@@ -197,6 +198,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
         target = eval_trace_part(tp, tau, sm)
         s_norm = operator_norm(sm)
         s_comms = commutator_tuple(tau, sm)
+        e_norms[op.op_id] = max(s_norm, tuple_gauge_norm(s_comms, gauge))
         steps = schedule.steps if depth is None else schedule.steps[:depth]
         bounds = tuple(
             recovery_error_bound(tp, tau, gauge, unit, sm,
@@ -244,7 +246,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     upper_trace = x1 + ysum
     upper_tail = 1.0 if phi.singular_part is not None else 0.0
     (lower,), skipped = sampled_lower(lambda s: eval_functional(phi, tau, s),
-                                      tau, gauge, test_set, (e_norm_max,))
+                                      test_set, (lambda op: e_norms[op.op_id],))
     add_ok = lower <= upper_trace + upper_tail + ADDITIVITY_SLACK
     if not add_ok:
         failed = True
@@ -320,8 +322,8 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
 
         x1, ysum = trace_part_norms(tp, gauge)
         upper = x1 + ysum + (1.0 if getattr(phi, "singular_part", None) is not None else 0.0)
-        (lower,), _ = sampled_lower(lambda s: eval_functional(phi, tau, s),
-                                    tau, gauge, test_set, (e_norm_max,))
+        (lower,), _ = sampled_lower(lambda s: eval_functional(phi, tau, s), test_set,
+                                    (lambda op: e_norm_max(tau, gauge, op.matrix),))
         addit.append(float(max(0.0, lower - upper)))
 
     alpha, beta = coeffs

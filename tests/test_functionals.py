@@ -12,6 +12,7 @@ from commlab import (
     SampleSpec,
     TracePart,
     combine,
+    conjugate_gauge,
     coordinate_tail_states,
     detect_limit,
     e_norm_max,
@@ -19,12 +20,16 @@ from commlab import (
     eval_singular_part,
     eval_trace_part,
     functional_norm_bounds,
+    gauge_norm,
+    gauge_value,
+    generate_test_set,
     instantiate_model,
     pairing,
     quotient_norm_bounds,
     reduce_to_trace,
     schatten,
 )
+from commlab.idealops import band_commutator
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -336,10 +341,99 @@ def test_quotient_duality_consistency():
                         ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
     spec = SampleSpec(seed=11, count=10)
     bounds = quotient_norm_bounds(pe, tau, G2, window=10, sample_spec=spec)
-    from commlab import generate_test_set
     for op in generate_test_set(spec, tau, G2):
         lhs = abs(pairing(pe, tau, op.matrix))
         assert lhs <= bounds.upper * e_norm_max(tau, G2, op.matrix) + 1e-8
+
+
+def svd_subgradient(gauge, m):
+    """U f(sigma) V*, the SVD construction for the schatten and sup gauges."""
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros_like(u)
+    f = np.zeros_like(s)
+    if gauge.family == "sup":
+        f[0] = 1.0
+    elif gauge.p == 1:
+        f[s > 1e-14 * s[0]] = 1.0
+    else:
+        f = (s / gauge_value(gauge, s)) ** (gauge.p - 1.0)
+    return (u * f) @ vh
+
+
+def two_pass_quotient(tp, tau, gauge, window, max_iterations):
+    """Reference: the quotient solver's upper bound as a two-pass loop.
+
+    Each iterate's cost is taken by values-only SVDs; the next turn forms
+    the representative again and takes its subgradients by full SVDs.
+    Returns (upper, iterations).
+    """
+    trace_norm = schatten(1)
+    dual = conjugate_gauge(gauge)
+    work = min(tau.dimension, max(window, tp.support) + tau.bandwidth)
+    xe = embed(tp.x, work)
+    yes = [embed(y, work) for y in tp.ys]
+
+    def representative(ws):
+        first = xe.copy()
+        for t, w in zip(tau.matrices, ws):
+            first += band_commutator(t, w, tau.bandwidth)
+        return first
+
+    def cost(ws):
+        return (gauge_norm(trace_norm, representative(ws))
+                + sum(gauge_norm(dual, y + w) for y, w in zip(yes, ws)))
+
+    def blocked(m):
+        out = np.zeros_like(m)
+        out[:window, :window] = m[:window, :window]
+        return out
+
+    ws = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
+    current = cost(ws)
+    best = min(current, cost([blocked(-y) for y in yes]))
+    iterations = 0
+    for it in range(max_iterations):
+        iterations = it + 1
+        d1 = svd_subgradient(trace_norm, representative(ws))
+        grads = [blocked(band_commutator(t, d1, tau.bandwidth) + svd_subgradient(dual, y + w))
+                 for t, y, w in zip(tau.matrices, yes, ws)]
+        gsq = sum(float(np.linalg.norm(g)) ** 2 for g in grads)
+        if gsq <= 1e-30 or current <= 1e-14:
+            break
+        step = current / gsq
+        ws = [w - step * g for w, g in zip(ws, grads)]
+        current = cost(ws)
+        best = min(best, current)
+        if best <= 1e-14:
+            break
+    return best, iterations
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, 3])
+@pytest.mark.parametrize("gauge", [G2, schatten(1)], ids=lambda g: g.label)
+def test_quotient_matches_two_pass_reference(gauge, max_iterations):
+    rng = np.random.default_rng(54)
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
+    spec = SampleSpec(seed=12, count=4)
+    ys = [embed(random_block(rng, 3), 6) for _ in range(2)]
+    x = np.zeros((7, 7), dtype=np.complex128)
+    for t, y in zip(tau.matrices, ys):
+        x += band_commutator(t, embed(y, 7), tau.bandwidth)
+    cases = [(PredualElement(x=random_block(rng, 4),
+                             ys=(random_block(rng, 4), random_block(rng, 4)), gauge=gauge), 10)
+             for _ in range(2)]
+    cases.append((PredualElement(x=x, ys=tuple(ys), gauge=gauge), 12))
+    ops = generate_test_set(spec, tau, gauge)
+    for pe, window in cases:
+        bounds = quotient_norm_bounds(pe, tau, gauge, window=window, sample_spec=spec,
+                                      max_iterations=max_iterations)
+        upper, iterations = two_pass_quotient(pe, tau, gauge, window, max_iterations)
+        lower = max(abs(pairing(pe, tau, op.matrix)) / e_norm_max(tau, gauge, op.matrix)
+                    for op in ops)
+        assert bounds.lower == lower
+        assert bounds.iterations == iterations
+        assert abs(bounds.upper - upper) <= 1e-10 * abs(upper)
 
 
 def test_quotient_window_validation():

@@ -25,6 +25,7 @@ from commlab import (
     singular_values,
     sup_gauge,
 )
+from commlab.gauges import norm_value_and_subgradient
 
 
 # ---------------------------------------------------------------- oracles
@@ -321,3 +322,46 @@ def test_subgradient_alignment_and_dual_feasibility():
 def test_subgradient_of_zero_matrix():
     d = norm_subgradient(schatten(2), np.zeros((3, 3)))
     assert np.all(d == 0)
+    for g in (schatten(1), schatten(2)):
+        for dim in (0, 1, 5):
+            value, d = norm_value_and_subgradient(g, np.zeros((dim, dim)))
+            assert value == 0.0
+            assert d.shape == (dim, dim) and np.all(d == 0)
+
+
+def svd_subgradient_schatten2(m):
+    """U diag(s / |s|_2) V*, the SVD construction of the schatten-2 subgradient."""
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
+    return (u * (s / np.sqrt((s * s).sum()))) @ vh
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_schatten2_subgradient_matches_svd_construction(dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(5):
+        a = random_matrix(rng, dim)
+        ref = svd_subgradient_schatten2(a)
+        d = norm_subgradient(schatten(2), a)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("g", [schatten(1), schatten(1.5), schatten(2), ky_fan(2),
+                               ky_fan_dual(2), sup_gauge()], ids=lambda g: g.label)
+def test_value_and_subgradient_agree_with_the_parts(g):
+    rng = np.random.default_rng(19)
+    for dim in (1, 4, 9):
+        a = random_matrix(rng, dim)
+        value, d = norm_value_and_subgradient(g, a)
+        assert value == pytest.approx(gauge_norm(g, a), rel=1e-12)
+        assert float(np.real(np.vdot(d, a))) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [schatten(1), schatten(2), sup_gauge()], ids=lambda g: g.label)
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_subgradient_rejects_non_finite_and_non_square(g, entry):
+    m = np.eye(3, dtype=np.complex128)
+    m[1, 2] = entry
+    with pytest.raises(ValueError, match="finite"):
+        norm_subgradient(g, m)
+    with pytest.raises(ValueError, match="square"):
+        norm_subgradient(g, np.ones((2, 3)))

@@ -84,6 +84,15 @@ def test_hermitian_tuple_rejects_non_hermitian():
         HermitianTuple.from_matrices([bad])
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_hermitian_tuple_rejects_non_finite(entry):
+    # |t - t^H| is NaN here, and NaN > tol is False: finiteness is its own check
+    with pytest.raises(ValueError, match="finite"):
+        HermitianTuple.from_matrices([[[entry, 0.0], [0.0, 1.0]]], bandwidth=0)
+    with pytest.raises(ValueError, match="finite"):
+        HermitianTuple.from_matrices([np.eye(3), np.diag([1.0, entry, 2.0])])
+
+
 def test_support_size():
     m = np.zeros((6, 6))
     assert support_size(m) == 0
