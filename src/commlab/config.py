@@ -368,7 +368,7 @@ def parse_config(data) -> ExperimentConfig:
                                   f"cap {r} plus bandwidth {band} exceeds dimension {dimension}")
 
     functionals = tuple(
-        _parse_functional(v, f"functionals[{i}]", model.n if model.n else 1,
+        _parse_functional(v, f"functionals[{i}]", model.n,
                           gauges[0], dimension, model.bandwidth, i)
         for i, v in enumerate(_expect_list(d.get("functionals", []), "functionals")))
 

@@ -107,8 +107,6 @@ def gauge_value(gauge: GaugeSpec, values) -> float:
     if gauge.family == SCHATTEN:
         if gauge.p == 1:
             return float(t.sum())
-        if gauge.p == 2:
-            return float(np.sqrt((t * t).sum()))
         if t[0] == 0 or np.isinf(t[0]):
             return float(t[0])
         # scaled by the largest value so that t ** p cannot overflow
@@ -129,6 +127,15 @@ def _square(matrix, dtype=None) -> np.ndarray:
     return m
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """|M|_F, rescaled by the largest entry only when the direct sum over- or underflows."""
+    value = float(np.linalg.norm(m))
+    if value in (0.0, np.inf) and m.any():
+        scale = float(np.abs(m).max())
+        value = scale * float(np.linalg.norm(m / scale))
+    return value
+
+
 def singular_values(matrix) -> np.ndarray:
     """Nonincreasing singular values of a square matrix."""
     return np.linalg.svd(_square(matrix), compute_uv=False)
@@ -138,7 +145,7 @@ def gauge_norm(gauge: GaugeSpec, matrix) -> float:
     """Gauge norm of a matrix: the gauge applied to its singular values."""
     if gauge.family == SCHATTEN and gauge.p == 2:
         # Frobenius route, identical value without the factorization.
-        return float(np.linalg.norm(_square(matrix)))
+        return _frobenius(_square(matrix))
     return gauge_value(gauge, singular_values(matrix))
 
 
@@ -193,7 +200,7 @@ def norm_value_and_subgradient(gauge: GaugeSpec, matrix) -> tuple[float, np.ndar
     """
     m = _square(matrix, np.complex128)
     if gauge.family == SCHATTEN and gauge.p == 2:
-        value = float(np.linalg.norm(m))
+        value = _frobenius(m)
         return value, (m / value if value > 0.0 else np.zeros_like(m))
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] <= 0.0:

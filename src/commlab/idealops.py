@@ -4,11 +4,12 @@ Built-in models generate each entry from the index and fixed parameters only,
 never from the instantiation dimension, so a tuple instantiated at N and at
 N' > N agrees on the leading N x N corner.  Together with the declared
 bandwidth b this makes commutators against finitely supported matrices exact
-under truncation: [T, S] is computed on the leading (support + bandwidth)
-corner c and embedded, which is both bitwise reproducible across dimensions and
-cheap when the support is small.  Every [T, S] in the package goes through
-`band_commutator`, which takes a large corner from the 2b + 1 diagonals of T
-at O(c^2 b) cost and a small one, or a band as wide as it, by dense products.
+under truncation: `corner_commutators` computes [T, S] on the leading
+(support + bandwidth) corner c, which is both bitwise reproducible across
+dimensions and cheap when the support is small.  Every [T, S] in the package
+goes through `band_commutator`, which takes a large corner from the 2b + 1
+diagonals of T at O(c^2 b) cost and a small one, or a band as wide as it, by
+dense products.
 """
 
 from __future__ import annotations
@@ -206,6 +207,17 @@ def band_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:
     return out
 
 
+def corner_commutators(tau: HermitianTuple, block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tuple [T_j, B] on its leading c = min(N, s + b) corner, for s x s B.
+
+    B stands for the N x N operator supported in its leading s-corner; the
+    commutators of such an operator vanish outside the c-corner.
+    """
+    c = min(tau.dimension, block.shape[0] + tau.bandwidth)
+    a = block if block.shape[0] == c else embed(block, c)  # no N x N copy at full support
+    return tuple(band_commutator(t, a, tau.bandwidth) for t in tau.matrices)
+
+
 def commutator_tuple(tau: HermitianTuple, s) -> tuple[np.ndarray, ...]:
     """The tuple ([T_1, S], ..., [T_n, S]) with [T, S] = TS - ST."""
     sm = np.asarray(s)
@@ -213,11 +225,9 @@ def commutator_tuple(tau: HermitianTuple, s) -> tuple[np.ndarray, ...]:
     if sm.ndim != 2 or sm.shape != (dim, dim):
         raise ValueError(
             f"operand dimension {sm.shape} does not match tuple dimension {dim}")
-    c = min(dim, support_size(sm) + tau.bandwidth)
-    if c == dim:
-        return tuple(band_commutator(t, sm, tau.bandwidth) for t in tau.matrices)
-    return tuple(embed(band_commutator(t, sm[:c, :c], tau.bandwidth), dim)
-                 for t in tau.matrices)
+    size = support_size(sm)
+    ks = corner_commutators(tau, sm[:size, :size])
+    return ks if ks[0].shape[0] == dim else tuple(embed(k, dim) for k in ks)
 
 
 def tuple_gauge_norm(matrices, gauge: GaugeSpec) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import (
+    _TRACE_NORM,
     FunctionalSpec,
     NotConverged,
     TracePart,
@@ -25,12 +26,11 @@ from .functionals import (
     trace_part_norms,
 )
 from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, gauge_value, operator_norm
-from .idealops import (HermitianTuple, band_commutator, commutator_tuple, e_norm_max,
-                       tuple_gauge_norm)
+from .idealops import (HermitianTuple, commutator_tuple, corner_commutators, e_norm_max,
+                       embed, tuple_gauge_norm)
 from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
-_TRACE_NORM = GaugeSpec(family="schatten", p=1.0)
 RESIDUAL_TOL = 1e-8
 ADDITIVITY_SLACK = 1e-6
 SOUNDNESS_TOL = 1e-9
@@ -65,12 +65,11 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s,
         raise ValueError("operand dimension does not match the tuple")
     values = []
     for unit in schedule.steps[:depth]:
-        if unit.matrix.shape != sm.shape:
-            raise ValueError("schedule dimension does not match the operand")
-        # A_k is supported in its leading cap_r rows, and so is A_k S
-        r = unit.cap_r
-        product = np.zeros(sm.shape, dtype=np.result_type(unit.matrix, sm))
-        product[:r] = unit.matrix[:r, :r] @ sm[:r]
+        if unit.dimension != tau.dimension:
+            raise ValueError("schedule dimension does not match the tuple")
+        # A_k is its cap block, so A_k S is supported in the leading cap_r rows
+        product = np.zeros(sm.shape, dtype=np.result_type(unit.block, sm))
+        product[:unit.cap_r] = unit.block @ sm[:unit.cap_r]
         values.append(eval_functional(phi, tau, product))
     limit = detect_limit(values, rule="plain", tol=1e-9)
     return RecoveryResult(sequence=tuple(values), limit=limit)
@@ -96,7 +95,7 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         raise ValueError(f"trace part carries {len(tp.ys)} slots, tuple has {tau.n}")
     sm = np.asarray(s)
     dim = tau.dimension
-    if sm.shape != (dim, dim) or unit.matrix.shape != (dim, dim):
+    if sm.shape != (dim, dim) or unit.dimension != dim:
         raise ValueError("operand or unit dimension does not match the tuple")
 
     dual = conjugate_gauge(gauge)
@@ -106,18 +105,16 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     if s_commutators is None:
         s_commutators = commutator_tuple(tau, sm)
 
-    # A is supported in its leading r x r corner, so every term lives on
-    # leading rows or corners of size about r: no N x N product is formed.
+    # A is its r x r cap block, so every term lives on leading rows or
+    # corners of size about r: no N x N product is formed.
     r = unit.cap_r
-    a = unit.matrix[:r, :r]
+    a = unit.block
     total = 0.0
     sx = tp.x.shape[0]
     if sx and tp.x.any():
         # X - X A vanishes outside its leading sx x c rectangle
         c = min(dim, max(sx, r))
-        rows = np.zeros((sx, c), dtype=np.complex128)
-        rows[:, :sx] = tp.x
-        rows -= tp.x @ unit.matrix[:sx, :c]
+        rows = embed(tp.x, c)[:sx] - tp.x @ embed(a, c)[:sx]
         total += gauge_value(_TRACE_NORM, np.linalg.svd(rows, compute_uv=False)) * s_norm
 
     if any(y_norms):
@@ -126,11 +123,8 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
                 shrunk = np.array(k, dtype=np.complex128)
                 shrunk[:r] -= a @ k[:r]  # (I - A) K
                 total += gauge_norm(gauge, shrunk) * yn
-        w = min(dim, r + tau.bandwidth)
-        corner = unit.matrix[:w, :w]
-        for t, yn in zip(tau.matrices, y_norms):
+        for k, yn in zip(corner_commutators(tau, a), y_norms):
             if yn:
-                k = band_commutator(t, corner, tau.bandwidth)
                 total += gauge_norm(gauge, k) * yn * s_norm
     return float(total)
 

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .gauges import GaugeSpec, gauge_norm, norm_subgradient
-from .idealops import (HermitianTuple, band_commutator, commutator_tuple, embed,
+from .idealops import (HermitianTuple, band_commutator, corner_commutators, embed,
                        tuple_gauge_norm)
 
 EIG_TOL = 1e-10
@@ -60,10 +60,24 @@ class UnitCertificate:
 
 @dataclass(frozen=True)
 class UnitElement:
-    matrix: np.ndarray
+    """A certified unit on an N-dimensional tuple, stored as its r x r cap block.
+
+    The block is read-only; the unit vanishes outside it.
+    """
+
+    block: np.ndarray
     floor_m: int
-    cap_r: int
+    dimension: int
     certificate: UnitCertificate
+
+    @property
+    def cap_r(self) -> int:
+        return self.block.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The unit as an N x N operator."""
+        return embed(self.block, self.dimension)
 
 
 def _hermitize(block: np.ndarray) -> np.ndarray:
@@ -83,17 +97,15 @@ def _certify_block(block: np.ndarray, floor_m: int) -> UnitCertificate:
     )
 
 
-def _make_unit(block: np.ndarray, floor_m: int, cap_r: int, dim: int) -> UnitElement:
+def _make_unit(block: np.ndarray, floor_m: int, dim: int) -> UnitElement:
     cert = _certify_block(block, floor_m)
     if not cert.ok:
         raise CertificationError(
-            f"unit certificate failed for window ({floor_m}, {cap_r}): "
+            f"unit certificate failed for window ({floor_m}, {block.shape[0]}): "
             f"eig range [{cert.min_eigenvalue:.3e}, {cert.max_eigenvalue:.3e}], "
             f"floor residual {cert.floor_residual:.3e}")
-    full = np.zeros((dim, dim), dtype=block.dtype)
-    full[:cap_r, :cap_r] = block
-    full.setflags(write=False)
-    return UnitElement(matrix=full, floor_m=floor_m, cap_r=cap_r, certificate=cert)
+    block.setflags(write=False)
+    return UnitElement(block=block, floor_m=floor_m, dimension=dim, certificate=cert)
 
 
 def _validate_window(tau: HermitianTuple, floor_m: int, cap_r: int):
@@ -112,7 +124,7 @@ def ramp_unit(tau: HermitianTuple, floor_m: int, cap_r: int) -> UnitElement:
         raise ValueError("ramp needs m < r; the degenerate window is the projection itself")
     j = np.arange(1, cap_r + 1, dtype=float)
     diag = np.clip((cap_r - j) / (cap_r - floor_m), 0.0, 1.0)
-    return _make_unit(np.diag(diag), floor_m, cap_r, tau.dimension)
+    return _make_unit(np.diag(diag), floor_m, tau.dimension)
 
 
 def _project_window(block: np.ndarray, floor_m: int) -> np.ndarray:
@@ -143,14 +155,11 @@ class OptimizeResult:
 
 
 def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: int,
-                  params: SolverParams | None = None,
-                  extra_starts: tuple[np.ndarray, ...] = ()) -> OptimizeResult:
+                  params: SolverParams | None = None) -> OptimizeResult:
     """Minimize max_j |[T_j, A]|_gauge over the window's feasible units.
 
     Projected subgradient descent from the ramp (never accepting an ascent:
-    the best feasible iterate is tracked and returned).  `extra_starts` may
-    carry feasible candidate blocks from neighboring windows; they only ever
-    lower the reported value.
+    the best feasible iterate is tracked and returned).
     """
     params = params or SolverParams()
     _validate_window(tau, floor_m, cap_r)
@@ -159,47 +168,25 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
 
     if floor_m == cap_r:
         # Degenerate window: the only feasible unit is the projection itself.
-        block = np.eye(cap_r, dtype=np.complex128)
-        unit = _make_unit(block, floor_m, cap_r, dim)
-        value = tuple_gauge_norm(commutator_tuple(tau, unit.matrix), gauge)
+        unit = _make_unit(np.eye(cap_r, dtype=np.complex128), floor_m, dim)
+        value = tuple_gauge_norm(corner_commutators(tau, unit.block), gauge)
         return OptimizeResult(unit=unit, value=value, trace=((0, value, value),))
 
-    work = min(dim, cap_r + band)
-
-    def objective(block: np.ndarray) -> tuple[float, list[float], list[np.ndarray]]:
-        a = embed(block, work)
-        ks = [band_commutator(t, a, band) for t in tau.matrices]
+    def objective(block: np.ndarray) -> tuple[float, list[float], tuple[np.ndarray, ...]]:
+        ks = corner_commutators(tau, block)
         norms = [gauge_norm(gauge, k) for k in ks]
         return max(norms), norms, ks
 
-    def subgradient(norms: list[float], ks: list[np.ndarray]) -> np.ndarray:
+    def subgradient(norms: list[float], ks: tuple[np.ndarray, ...]) -> np.ndarray:
         j = int(np.argmax(norms))  # lowest index wins ties
         g = band_commutator(tau.matrices[j], norm_subgradient(gauge, ks[j]), band)
         return _hermitize(g[:cap_r, :cap_r])
 
-    ramp = ramp_unit(tau, floor_m, cap_r)
-    candidates = [np.asarray(ramp.matrix[:cap_r, :cap_r], dtype=np.complex128)]
-    for raw in extra_starts:
-        outer = np.asarray(raw, dtype=np.complex128)
-        if outer.shape[0] > cap_r:
-            continue
-        candidates.append(_project_window(embed(outer, cap_r), floor_m))
-
-    best_block, start = None, (np.inf, None, None)
-    for cand in candidates:
-        if not _certify_block(cand, floor_m).ok:
-            continue
-        evaluated = objective(cand)
-        if evaluated[0] < start[0]:
-            best_block, start = cand, evaluated
-    if best_block is None:
-        raise CertificationError(f"no feasible start for window ({floor_m}, {cap_r})")
-    best_value, norms, ks = start
-
-    # _project_window is exact, so iterates need no certificate; the returned
-    # unit is certified by _make_unit.
+    # The ramp is certified by ramp_unit, and _project_window is exact, so
+    # iterates need no certificate; the returned unit is certified by _make_unit.
+    x = best_block = np.asarray(ramp_unit(tau, floor_m, cap_r).block, dtype=np.complex128)
+    best_value, norms, ks = objective(x)
     trace = [(0, float(best_value), float(best_value))]
-    x = best_block
     stall = 0
     reference = best_value
     base_step = None
@@ -227,7 +214,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
             stall = 0
             reference = best_value
 
-    unit = _make_unit(best_block, floor_m, cap_r, dim)
+    unit = _make_unit(best_block, floor_m, dim)
     return OptimizeResult(unit=unit, value=float(best_value), trace=tuple(trace))
 
 
@@ -335,7 +322,6 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
 class UnitSchedule:
     steps: tuple[UnitElement, ...]
     commutator_norms: tuple[float, ...]
-    gauge: GaugeSpec
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -343,9 +329,10 @@ class UnitSchedule:
 
 def _check_monotone_steps(steps):
     for prev, cur in zip(steps, steps[1:]):
-        r = cur.cap_r
-        diff = cur.matrix[:r, :r] - prev.matrix[:r, :r]
-        lam = np.linalg.eigvalsh(_hermitize(np.asarray(diff)))
+        # caps strictly increase, so prev's block sits inside cur's
+        diff = np.array(cur.block, dtype=np.result_type(cur.block, prev.block))
+        diff[:prev.cap_r, :prev.cap_r] -= prev.block
+        lam = np.linalg.eigvalsh(_hermitize(diff))
         if lam[0] < -EIG_TOL:
             raise MonotonizationError(
                 f"schedule steps not monotone: min eig {lam[0]:.3e} between caps "
@@ -389,13 +376,13 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
             unit = optimize_unit(tau, gauge, m, r, params).unit
             if steps:
                 prev = steps[-1]
-                block = np.asarray(unit.matrix[:r, :r], dtype=np.complex128).copy()
-                block[:prev.cap_r, :prev.cap_r] -= prev.matrix[:prev.cap_r, :prev.cap_r]
+                block = np.array(unit.block, dtype=np.complex128)
+                block[:prev.cap_r, :prev.cap_r] -= prev.block
                 lam, w = np.linalg.eigh(_hermitize(block))
                 lifted = (w * np.maximum(lam, 0.0)) @ w.conj().T
-                lifted[:prev.cap_r, :prev.cap_r] += prev.matrix[:prev.cap_r, :prev.cap_r]
+                lifted[:prev.cap_r, :prev.cap_r] += prev.block
                 try:
-                    unit = _make_unit(_hermitize(lifted), m, r, tau.dimension)
+                    unit = _make_unit(_hermitize(lifted), m, tau.dimension)
                 except CertificationError as exc:
                     raise MonotonizationError(
                         f"monotonization failed at window ({m}, {r}): {exc}") from exc
@@ -404,6 +391,5 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
         raise ValueError(f"unknown schedule mode {mode!r}")
 
     _check_monotone_steps(steps)
-    norms = tuple(
-        tuple_gauge_norm(commutator_tuple(tau, u.matrix), gauge) for u in steps)
-    return UnitSchedule(steps=tuple(steps), commutator_norms=norms, gauge=gauge)
+    norms = tuple(tuple_gauge_norm(corner_commutators(tau, u.block), gauge) for u in steps)
+    return UnitSchedule(steps=tuple(steps), commutator_norms=norms)

@@ -165,11 +165,14 @@ def test_gauge_value_homogeneous_and_monotone():
         assert gauge_value(g, s) <= gauge_value(g, t) + 1e-12
 
 
-@pytest.mark.parametrize("p, scale", [(400, 10.0), (3, 1e110)])
+@pytest.mark.parametrize("p, scale", [(400, 10.0), (3, 1e110), (2, 1e200), (2, 1e-200)])
 def test_schatten_norm_does_not_overflow(p, scale):
-    # t ** p overflows for these values unless t is scaled first
-    want = scale * 3 ** (1 / p)
-    assert gauge_norm(schatten(p), scale * np.eye(3)) == pytest.approx(want, rel=1e-12)
+    # t ** p over- or underflows for these values unless t is scaled first
+    want = pytest.approx(scale * 3 ** (1 / p), rel=1e-12, abs=0.0)
+    m = scale * np.eye(3)
+    assert gauge_norm(schatten(p), m) == want
+    assert gauge_value(schatten(p), [scale] * 3) == want
+    assert np.vdot(norm_subgradient(schatten(p), m), m).real == want  # Re<D, M> = |M|
 
 
 def test_gauge_value_rejects_negative_entries():

@@ -124,6 +124,10 @@ def test_recover_dimension_checks():
         recover_ac_part(phi, sched, tau, np.eye(12))
     with pytest.raises(ValueError):
         recover_ac_part(phi, sched, tau, np.eye(DIM), depth=0)
+    # a schedule built on a tuple of another dimension
+    other = build_schedule(lap(DIM + 8), G2, WINDOWS)
+    with pytest.raises(ValueError):
+        recover_ac_part(phi, other, tau, np.eye(DIM))
 
 
 # ------------------------------------------------------------ error bound
@@ -193,6 +197,9 @@ def test_bound_input_validation():
         recovery_error_bound(tp, tau, schatten(1), unit, np.eye(32))
     with pytest.raises(ValueError):
         recovery_error_bound(tp, tau, G2, unit, np.eye(8))
+    # a unit built on a tuple of another dimension
+    with pytest.raises(ValueError):
+        recovery_error_bound(tp, tau, G2, ramp_unit(lap(40), 4, 12), np.eye(32))
 
 
 # ------------------------------------- corner terms against dense products

@@ -15,8 +15,10 @@ from commlab import (
     optimize_unit,
     ramp_unit,
     schatten,
+    sup_gauge,
     tuple_gauge_norm,
 )
+from commlab.idealops import embed
 
 LAP = OperatorModelSpec(name="lap-pos")
 GRID2 = OperatorModelSpec(name="diagonal-grid", n=2)
@@ -60,6 +62,10 @@ def test_ramp_documented_profile():
     want = np.diag([1.0, 1.0, 0.5, 0.0, 0.0, 0.0])
     assert np.array_equal(unit.matrix, want)
     assert np.array_equal(np.diag(unit.matrix), ramp_diagonal(2, 4, 6))
+    # stored as its read-only cap block; `matrix` is the N x N view of it
+    assert unit.block.shape == (4, 4)
+    assert not unit.block.flags.writeable
+    assert np.array_equal(unit.matrix, embed(unit.block, 6))
 
 
 def test_ramp_commutes_with_diagonal_model():
@@ -137,6 +143,15 @@ def test_optimizer_trace_is_monotone_in_best():
     bests = [b for _, _, b in res.trace]
     assert all(b1 >= b2 for b1, b2 in zip(bests, bests[1:]))
     assert res.value == bests[-1]
+
+
+@pytest.mark.parametrize("window", [(16, 32), (160, 256)], ids=lambda w: "%d-%d" % w)
+@pytest.mark.parametrize("gauge", [schatten(2), sup_gauge()], ids=lambda g: g.label)
+def test_ramp_value_agrees_between_optimizer_and_schedule(gauge, window):
+    # both take [T_j, A] on the same (cap + bandwidth) corner, so bitwise equal
+    tau = instantiate_model(LAP, 512)
+    start = optimize_unit(tau, gauge, *window, SolverParams(max_iterations=0)).value
+    assert start == build_schedule(tau, gauge, [window]).commutator_norms[0]
 
 
 def test_degenerate_window_returns_projection():
