@@ -298,6 +298,25 @@ def eval_functional(phi, tau: HermitianTuple, s, depth: int | None = None) -> co
     return value
 
 
+def rows_read(phi, tau: HermitianTuple) -> np.ndarray:
+    """Sorted indices of the rows of S that `eval_functional(phi, tau, S)` reads.
+
+    A trace part reads the leading max(sx, sy + b) rows (X, and the
+    commutator corners of the Y_j); a tail state reads its window rows.
+    """
+    specs = [f for _, f in phi.terms] if isinstance(phi, FunctionalCombo) else [phi]
+    rows = []
+    for spec in specs:
+        tp, ts = spec.trace_part, spec.singular_part
+        if tp is not None:
+            lead = max([tp.x.shape[0]] +
+                       [y.shape[0] + tau.bandwidth for y in tp.ys if y.shape[0]])
+            rows.append(np.arange(min(lead, tau.dimension)))
+        if ts is not None:
+            rows.extend(np.arange(lo - 1, hi) for lo, hi in ts.windows)
+    return np.unique(np.concatenate(rows)) if rows else np.zeros(0, dtype=int)
+
+
 def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, float]:
     """(trace norm of X, sum of conjugate-gauge norms of the Y_j)."""
     dual = conjugate_gauge(gauge)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import GaugeSpec, gauge_norm, operator_norm
+from .gauges import GaugeSpec, gauge_norm, operator_norm, support_size
 
 HERMITIAN_TOL = 1e-12
 
@@ -154,16 +154,6 @@ def instantiate_model(spec: OperatorModelSpec, dim: int) -> HermitianTuple:
     for m in mats:
         m.setflags(write=False)
     return HermitianTuple(matrices=tuple(mats), bandwidth=bandwidth, source=spec)
-
-
-def support_size(matrix: np.ndarray) -> int:
-    """Smallest s such that the matrix vanishes outside its leading s-corner."""
-    m = np.asarray(matrix)
-    rows = np.flatnonzero(m.any(axis=1))
-    if rows.size == 0:
-        return 0
-    cols = np.flatnonzero(m.any(axis=0))
-    return int(max(rows[-1], cols[-1])) + 1
 
 
 def embed(block: np.ndarray, dim: int) -> np.ndarray:

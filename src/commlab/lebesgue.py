@@ -22,10 +22,12 @@ from .functionals import (
     detect_limit,
     eval_functional,
     eval_trace_part,
+    rows_read,
     sampled_lower,
     trace_part_norms,
 )
-from .gauges import GaugeSpec, conjugate_gauge, gauge_norm, gauge_value, operator_norm
+from .gauges import (GaugeSpec, conjugate_gauge, diagonal_or_none, gauge_norm, gauge_value,
+                     operator_norm)
 from .idealops import (HermitianTuple, commutator_tuple, corner_commutators, e_norm_max,
                        embed, tuple_gauge_norm)
 from .qau import UnitElement, UnitSchedule
@@ -51,7 +53,9 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s,
     The k-th value is the functional applied to A_k S.  Multiplying by A_k
     kills tail behaviour, so the limit is the trace-part value; the tail part
     contributes exactly zero at each step once its windows sit past the caps.
-    Detection uses the plain five-delta rule shared with tail states.
+    A_k S vanishes outside its leading cap_r rows, and of those only the rows
+    phi reads (`rows_read`) are formed.  Detection uses the plain five-delta
+    rule shared with tail states.
 
     Raises NotConverged (carrying the sequence) when no limit settles.
     """
@@ -63,13 +67,14 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s,
     sm = np.asarray(s)
     if sm.shape != (tau.dimension, tau.dimension):
         raise ValueError("operand dimension does not match the tuple")
+    read = rows_read(phi, tau)
     values = []
     for unit in schedule.steps[:depth]:
         if unit.dimension != tau.dimension:
             raise ValueError("schedule dimension does not match the tuple")
-        # A_k is its cap block, so A_k S is supported in the leading cap_r rows
+        rows = read[read < unit.cap_r]
         product = np.zeros(sm.shape, dtype=np.result_type(unit.block, sm))
-        product[:unit.cap_r] = unit.block @ sm[:unit.cap_r]
+        product[rows] = unit.block[rows] @ sm[:unit.cap_r]
         values.append(eval_functional(phi, tau, product))
     limit = detect_limit(values, rule="plain", tol=1e-9)
     return RecoveryResult(sequence=tuple(values), limit=limit)
@@ -77,7 +82,8 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s,
 
 def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
                          unit: UnitElement, s, *, s_norm: float | None = None,
-                         s_commutators: tuple[np.ndarray, ...] | None = None) -> float:
+                         s_commutators: tuple[np.ndarray, ...] | None = None,
+                         unit_norms: tuple[float, ...] | None = None) -> float:
     """Certified bound on |trace part at S minus trace part at A S|.
 
     Three terms, each exact at the instantiated dimension:
@@ -87,7 +93,8 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
       + sum_j |[A, T_j]|_gauge * |Y_j|_dual * ||S||
 
     `s_norm` and `s_commutators` (the tuple [T_j, S]) can be passed in when
-    the caller evaluates many units against the same S.
+    the caller evaluates many units against the same S, and `unit_norms`
+    (the gauge norms |[A, T_j]|) when it evaluates many S against one unit.
     """
     if gauge != tp.gauge:
         raise ValueError("gauge does not match the trace part")
@@ -118,15 +125,25 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         total += gauge_value(_TRACE_NORM, np.linalg.svd(rows, compute_uv=False)) * s_norm
 
     if any(y_norms):
+        diag = diagonal_or_none(a)
+        if unit_norms is None:
+            unit_norms = unit_commutator_norms(tau, gauge, unit)
         for k, yn in zip(s_commutators, y_norms):
-            if yn:
+            if yn and k.any():
                 shrunk = np.array(k, dtype=np.complex128)
-                shrunk[:r] -= a @ k[:r]  # (I - A) K
+                # (I - A) K; a diagonal A (a ramp) scales rows, the same bits as A @ K
+                shrunk[:r] -= a @ k[:r] if diag is None else diag[:, None] * k[:r]
                 total += gauge_norm(gauge, shrunk) * yn
-        for k, yn in zip(corner_commutators(tau, a), y_norms):
+        for an, yn in zip(unit_norms, y_norms):
             if yn:
-                total += gauge_norm(gauge, k) * yn * s_norm
+                total += an * yn * s_norm
     return float(total)
+
+
+def unit_commutator_norms(tau: HermitianTuple, gauge: GaugeSpec,
+                          unit: UnitElement) -> tuple[float, ...]:
+    """The gauge norms |[T_j, A]| of a unit, from its commutator corner."""
+    return tuple(gauge_norm(gauge, k) for k in corner_commutators(tau, unit.block))
 
 
 @dataclass(frozen=True)
@@ -187,17 +204,18 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     e_norms: dict[str, float] = {}  # e_norm_max of each operator, for the additivity check
     failed = False
 
+    steps = schedule.steps if depth is None else schedule.steps[:depth]
+    unit_norms = [unit_commutator_norms(tau, gauge, unit) for unit in steps]
     for op in test_set:
         sm = op.matrix
         target = eval_trace_part(tp, tau, sm)
         s_norm = operator_norm(sm)
         s_comms = commutator_tuple(tau, sm)
         e_norms[op.op_id] = max(s_norm, tuple_gauge_norm(s_comms, gauge))
-        steps = schedule.steps if depth is None else schedule.steps[:depth]
         bounds = tuple(
-            recovery_error_bound(tp, tau, gauge, unit, sm,
-                                 s_norm=s_norm, s_commutators=s_comms)
-            for unit in steps)
+            recovery_error_bound(tp, tau, gauge, unit, sm, s_norm=s_norm,
+                                 s_commutators=s_comms, unit_norms=norms)
+            for unit, norms in zip(steps, unit_norms))
         try:
             rec = recover_ac_part(phi, schedule, tau, sm, depth=depth)
         except NotConverged as err:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
-from .gauges import GaugeSpec, gauge_norm, norm_subgradient
+from .gauges import GaugeSpec, _frobenius, diagonal_or_none, gauge_norm, norm_subgradient
 from .idealops import (HermitianTuple, band_commutator, corner_commutators, embed,
                        tuple_gauge_norm)
 
@@ -84,12 +84,20 @@ def _hermitize(block: np.ndarray) -> np.ndarray:
     return (block + block.conj().T) / 2.0
 
 
+def _spectrum(block: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a hermitian block: a diagonal block's sorted diagonal."""
+    diagonal = diagonal_or_none(block)
+    if diagonal is not None:
+        return np.sort(diagonal.real)
+    return np.linalg.eigvalsh(block)
+
+
 def _certify_block(block: np.ndarray, floor_m: int) -> UnitCertificate:
-    lam = np.linalg.eigvalsh(block)
+    lam = _spectrum(block)
     shifted = block.copy()
     idx = np.arange(floor_m)
     shifted[idx, idx] -= 1.0
-    floor_lam = np.linalg.eigvalsh(shifted)
+    floor_lam = _spectrum(shifted)
     return UnitCertificate(
         min_eigenvalue=float(lam[0]),
         max_eigenvalue=float(lam[-1]),
@@ -194,7 +202,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
         if best_value <= params.stop_tolerance:
             break
         g = subgradient(norms, ks)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _frobenius(g)
         if gnorm <= 1e-15:
             break
         if base_step is None:
@@ -332,7 +340,7 @@ def _check_monotone_steps(steps):
         # caps strictly increase, so prev's block sits inside cur's
         diff = np.array(cur.block, dtype=np.result_type(cur.block, prev.block))
         diff[:prev.cap_r, :prev.cap_r] -= prev.block
-        lam = np.linalg.eigvalsh(_hermitize(diff))
+        lam = _spectrum(_hermitize(diff))
         if lam[0] < -EIG_TOL:
             raise MonotonizationError(
                 f"schedule steps not monotone: min eig {lam[0]:.3e} between caps "

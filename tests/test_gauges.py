@@ -186,6 +186,48 @@ def test_sup_gauge_is_operator_norm():
     assert gauge_norm(sup_gauge(), m) == operator_norm(m)
 
 
+def _banded_hermitian(rng, dim, width):
+    i, j = np.indices((dim, dim))
+    m = random_matrix(rng, dim)
+    return np.where(np.abs(i - j) <= width, m + m.conj().T, 0.0)
+
+
+def _support_six(rng):
+    m = np.zeros((64, 64), dtype=np.complex128)
+    m[:6, :6] = random_matrix(rng, 6)
+    return m
+
+
+OPERATOR_NORM_CASES = {
+    "non-hermitian": lambda rng: random_matrix(rng, 9),
+    "hermitian": lambda rng: (lambda m: m + m.conj().T)(random_matrix(rng, 9)),
+    "support-6-in-64": _support_six,
+    "banded-hermitian": lambda rng: _banded_hermitian(rng, 40, 3),
+    "diagonal": lambda rng: np.diag(random_matrix(rng, 8)[0]),
+    "zero": lambda rng: np.zeros((5, 5), dtype=np.complex128),
+    "empty": lambda rng: np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", OPERATOR_NORM_CASES)
+def test_operator_norm_routes_match_the_svd(case):
+    # diagonal, hermitian (eigvalsh) and general (SVD) corners, and zero padding
+    m = OPERATOR_NORM_CASES[case](np.random.default_rng(12))
+    s = np.linalg.svd(m, compute_uv=False)
+    want = float(s[0]) if s.size else 0.0
+    assert operator_norm(m) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_operator_norm_rejects_non_finite_and_non_square(entry):
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[3, 1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        operator_norm(m)
+    with pytest.raises(ValueError, match="square"):
+        operator_norm(np.ones((2, 3)))
+
+
 def test_gauge_spec_validation():
     with pytest.raises(ValueError):
         schatten(0.5)

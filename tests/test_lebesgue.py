@@ -11,6 +11,7 @@ from commlab import (
     SolverParams,
     TracePart,
     build_schedule,
+    combine,
     commutator_tuple,
     conjugate_gauge,
     coordinate_tail_states,
@@ -30,6 +31,7 @@ from commlab import (
     schatten,
     sup_gauge,
 )
+from commlab.lebesgue import unit_commutator_norms
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -266,6 +268,81 @@ def test_recovery_sequence_matches_dense_products(corner_case, gauge):
             want = [eval_functional(phi, tau, u.matrix @ s) for u in sched.steps]
             scale = max(abs(v) for v in want)
             assert np.abs(np.subtract(got, want)).max() <= 1e-12 * scale
+
+
+# Floors cover rows 1..15, so on a tail state over rows 9..15 every A_k S
+# reads as S: the window rows lie inside every cap and carry the value.
+INSIDE_WINDOWS = [(16, 24), (20, 28), (24, 32), (28, 36), (32, 40), (36, 44)]
+INSIDE_TAIL = range(9, 16)
+
+
+@pytest.fixture(scope="module")
+def inside_case(corner_case):
+    """Schedules, operands with a constant diagonal on the tail rows, functionals."""
+    tau, _, operands, (x, y1, y2) = corner_case
+    schedules = [build_schedule(tau, G2, INSIDE_WINDOWS),
+                 build_schedule(tau, G2, INSIDE_WINDOWS, mode="optimized-then-monotonized",
+                                params=SolverParams(max_iterations=40))]
+    rows = np.arange(8, 15)
+    flat = []
+    for s in operands:
+        s = np.array(s, dtype=np.complex128)
+        s[rows, rows] = 0.5
+        flat.append(s)
+    trace = FunctionalSpec(trace_part=TracePart(x=x, ys=(y1, y2), gauge=G2))
+    tail = FunctionalSpec(singular_part=coordinate_tail_states(INSIDE_TAIL))
+    phis = {"trace": trace, "tail": tail,
+            "trace-and-tail": FunctionalSpec(trace_part=trace.trace_part,
+                                             singular_part=tail.singular_part),
+            "combo": combine((2.0, trace), (0.5 - 1j, tail))}
+    return tau, schedules, flat, phis
+
+
+@pytest.mark.parametrize("name", ["trace", "tail", "trace-and-tail", "combo"])
+def test_row_only_recovery_matches_dense_products(inside_case, name):
+    tau, schedules, operands, phis = inside_case
+    phi = phis[name]
+    for sched in schedules:
+        for s in operands:
+            got = recover_ac_part(phi, sched, tau, s).sequence
+            want = [eval_functional(phi, tau, u.matrix @ s) for u in sched.steps]
+            scale = max(abs(v) for v in want)
+            assert scale > 0.0
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge()], ids=lambda g: g.label)
+def test_bound_with_unit_norms_is_bitwise_the_same(corner_case, gauge):
+    tau, schedules, operands, (x, y1, y2) = corner_case
+    tp = TracePart(x=x, ys=(y1, y2), gauge=gauge)
+    for sched in schedules:
+        for unit in sched.steps:
+            norms = unit_commutator_norms(tau, gauge, unit)
+            for s in operands + [np.eye(CORNER_DIM)]:
+                assert (recovery_error_bound(tp, tau, gauge, unit, s, unit_norms=norms)
+                        == recovery_error_bound(tp, tau, gauge, unit, s))
+
+
+def test_decompose_takes_no_n_sized_svd(monkeypatch):
+    dim = 256
+    tau = lap(dim)
+    sched = build_schedule(tau, G2, [(4 * m, 4 * r) for m, r in CORNER_WINDOWS])
+    phi = FunctionalSpec(trace_part=random_trace_part(np.random.default_rng(78)),
+                         singular_part=coordinate_tail_states(range(dim - 6, dim + 1)))
+    sizes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        sizes.append(max(np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    ops = generate_test_set(SampleSpec(seed=79, count=2, kinds=("finitely-supported", "banded")),
+                            tau, G2)
+    report = decompose(phi, sched, tau, G2, ops)
+    assert [op.op_id for op in ops] == ["identity", "finitely-supported-0", "banded-1"]
+    assert report.status == "ok"
+    assert sizes and max(sizes) < dim
 
 
 # -------------------------------------------------------------- decompose

@@ -145,6 +145,13 @@ def test_optimizer_trace_is_monotone_in_best():
     assert res.value == bests[-1]
 
 
+def test_optimizer_moves_on_a_huge_tuple():
+    # the subgradient's norm overflows a plain sum of squares at this scale
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos", parameters=(1e300, 400)), 32)
+    res = optimize_unit(tau, schatten(2), 2, 8)
+    assert len({value for _, value, _ in res.trace}) > 1
+
+
 @pytest.mark.parametrize("window", [(16, 32), (160, 256)], ids=lambda w: "%d-%d" % w)
 @pytest.mark.parametrize("gauge", [schatten(2), sup_gauge()], ids=lambda g: g.label)
 def test_ramp_value_agrees_between_optimizer_and_schedule(gauge, window):
