@@ -187,7 +187,8 @@ def _parse_solver(value, path) -> SolverParams:
     try:
         return SolverParams(**kwargs)
     except ValueError as err:
-        raise ConfigError(path, str(err)) from None
+        # SolverParams names the field that broke first in its message
+        raise ConfigError(f"{path}.{str(err).split()[0]}", str(err)) from None
 
 
 def _parse_window_pairs(value, path) -> tuple[tuple[int, int], ...]:

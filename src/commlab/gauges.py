@@ -118,8 +118,8 @@ def gauge_value(gauge: GaugeSpec, values) -> float:
     return float(t[0])
 
 
-def _square(matrix, dtype=None) -> np.ndarray:
-    m = np.asarray(matrix, dtype=dtype)
+def _square(matrix) -> np.ndarray:
+    m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size and not np.all(np.isfinite(m)):
@@ -228,9 +228,10 @@ def norm_value_and_subgradient(gauge: GaugeSpec, matrix) -> tuple[float, np.ndar
 
     Re<D, M> = |M|_gauge and D has conjugate gauge norm at most one; D = 0
     when M vanishes.  Schatten-2 takes D = M / |M|_F with no SVD; other
-    gauges take D = U f(sigma) V*.
+    gauges take D = U f(sigma) V*.  D is real when M is.
     """
-    m = _square(matrix, np.complex128)
+    m = _square(matrix)
+    m = m.astype(np.promote_types(m.dtype, float), copy=False)
     if gauge.family == SCHATTEN and gauge.p == 2:
         value = _frobenius(m)
         return value, (m / value if value > 0.0 else np.zeros_like(m))

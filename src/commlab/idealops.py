@@ -62,16 +62,15 @@ class OperatorModelSpec:
 def _build_diagonal_grid(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
     steps = int(spec.parameters[0]) if spec.parameters else 3
     j = np.arange(1, dim + 1, dtype=float)
-    return [np.diag(np.minimum(j / (steps * i), 1.0)).astype(np.complex128)
-            for i in range(1, spec.n + 1)]
+    return [np.diag(np.minimum(j / (steps * i), 1.0)) for i in range(1, spec.n + 1)]
 
 
 def _build_lap_pos(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
     scale = spec.parameters[0] if spec.parameters else 1.0
     grid = int(spec.parameters[1]) if len(spec.parameters) > 1 else 400
     j = np.arange(1, dim + 1, dtype=float)
-    position = np.diag(np.minimum(j / grid, 1.0)).astype(np.complex128)
-    lap = np.zeros((dim, dim), dtype=np.complex128)
+    position = np.diag(np.minimum(j / grid, 1.0))
+    lap = np.zeros((dim, dim))
     np.fill_diagonal(lap, 2.0)
     idx = np.arange(dim - 1)
     lap[idx, idx + 1] = -1.0
@@ -100,7 +99,13 @@ _MODELS = {
 
 @dataclass(frozen=True)
 class HermitianTuple:
-    """A finite tuple of hermitian N x N matrices with a certified bandwidth."""
+    """A finite tuple of hermitian N x N matrices with a certified bandwidth.
+
+    The members share one field, `dtype`: float64 when no member has a
+    nonzero imaginary part, complex128 otherwise.  A real tuple keeps every
+    unit computed against it real, since the real part of a unit is a unit
+    with commutators no larger.
+    """
 
     matrices: tuple[np.ndarray, ...]
     bandwidth: int
@@ -109,6 +114,12 @@ class HermitianTuple:
     def __post_init__(self):
         if not self.matrices:
             raise ValueError("tuple must contain at least one matrix")
+        mats = tuple(np.asarray(t) for t in self.matrices)
+        if any(np.iscomplexobj(t) and t.imag.any() for t in mats):
+            mats = tuple(np.ascontiguousarray(t, dtype=np.complex128) for t in mats)
+        else:
+            mats = tuple(np.ascontiguousarray(t.real, dtype=np.float64) for t in mats)
+        object.__setattr__(self, "matrices", mats)
         dim = self.matrices[0].shape[0]
         for t in self.matrices:
             if t.ndim != 2 or t.shape != (dim, dim):
@@ -128,10 +139,14 @@ class HermitianTuple:
     def dimension(self) -> int:
         return self.matrices[0].shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrices[0].dtype
+
     @classmethod
     def from_matrices(cls, matrices, bandwidth: int | None = None,
                       source: OperatorModelSpec | None = None) -> "HermitianTuple":
-        mats = tuple(np.asarray(m, dtype=np.complex128) for m in matrices)
+        mats = tuple(np.asarray(m) for m in matrices)
         if bandwidth is None:
             bandwidth = mats[0].shape[0] - 1 if mats else 0
         return cls(matrices=mats, bandwidth=int(bandwidth), source=source)
@@ -150,10 +165,10 @@ def instantiate_model(spec: OperatorModelSpec, dim: int) -> HermitianTuple:
     _, bandwidth, builder = _MODELS[spec.name]
     if dim < 2 * bandwidth + 2:
         raise ValueError(f"dimension {dim} too small for bandwidth {bandwidth}")
-    mats = builder(spec, dim)
-    for m in mats:
+    tau = HermitianTuple(matrices=tuple(builder(spec, dim)), bandwidth=bandwidth, source=spec)
+    for m in tau.matrices:
         m.setflags(write=False)
-    return HermitianTuple(matrices=tuple(mats), bandwidth=bandwidth, source=spec)
+    return tau
 
 
 def embed(block: np.ndarray, dim: int) -> np.ndarray:
@@ -161,7 +176,7 @@ def embed(block: np.ndarray, dim: int) -> np.ndarray:
     s = block.shape[0]
     if s > dim:
         raise ValueError(f"support {s} exceeds the instantiated dimension {dim}")
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    out = np.zeros((dim, dim), dtype=np.result_type(block, float))
     out[:s, :s] = block
     return out
 
@@ -183,11 +198,15 @@ def band_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:
     """
     c = s.shape[0]
     t = t[:c, :c]
+    field = np.promote_types(t.dtype, s.dtype)
+    # A real T meets a complex S in S's field: numpy's mixed-type products
+    # cast inside every call, which costs more than casting T's entries once.
     if 2 * bandwidth + 1 >= c or c <= DENSE_CORNER:
+        t = t.astype(field, copy=False)
         return t @ s - s @ t
-    out = np.zeros((c, c), dtype=np.result_type(t, s))
+    out = np.zeros((c, c), dtype=field)
     for d in range(-bandwidth, bandwidth + 1):
-        diag = np.diagonal(t, d)  # T[i, i + d]
+        diag = np.diagonal(t, d).astype(field, copy=False)  # T[i, i + d]
         if d >= 0:
             out[:c - d] += diag[:, None] * s[d:]
             out[:, d:] -= s[:, :c - d] * diag

@@ -41,8 +41,13 @@ class SolverParams:
     patience: int = 50
 
     def __post_init__(self):
-        if self.max_iterations < 0 or self.patience < 1:
-            raise ValueError("solver parameters out of range")
+        # a zero step never moves, and a negative tolerance never counts a stall
+        for field, ok in (("max_iterations", self.max_iterations >= 0),
+                          ("step_scale", self.step_scale > 0),
+                          ("stop_tolerance", self.stop_tolerance >= 0),
+                          ("patience", self.patience >= 1)):
+            if not ok:
+                raise ValueError(f"{field} out of range: {getattr(self, field)!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
 
     if floor_m == cap_r:
         # Degenerate window: the only feasible unit is the projection itself.
-        unit = _make_unit(np.eye(cap_r, dtype=np.complex128), floor_m, dim)
+        unit = _make_unit(np.eye(cap_r, dtype=tau.dtype), floor_m, dim)
         value = tuple_gauge_norm(corner_commutators(tau, unit.block), gauge)
         return OptimizeResult(unit=unit, value=value, trace=((0, value, value),))
 
@@ -192,7 +197,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
 
     # The ramp is certified by ramp_unit, and _project_window is exact, so
     # iterates need no certificate; the returned unit is certified by _make_unit.
-    x = best_block = np.asarray(ramp_unit(tau, floor_m, cap_r).block, dtype=np.complex128)
+    x = best_block = np.asarray(ramp_unit(tau, floor_m, cap_r).block, dtype=tau.dtype)
     best_value, norms, ks = objective(x)
     trace = [(0, float(best_value), float(best_value))]
     stall = 0
@@ -270,11 +275,11 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
                params: SolverParams | None = None, jobs: int = 1) -> KEstimateTable:
     """Table of beta(m, r) over a floor/cap grid with its summary estimate.
 
-    Cells are solved independently (in parallel when jobs > 1) and then a
-    deterministic chaining pass propagates feasible values: a unit for a
-    window stays feasible when the floor shrinks or the cap grows, so each
-    cell reports the best certified value available to it.  The summary is
-    max over floors of the min over caps.
+    Cells are solved independently (in parallel when jobs > 1, largest cap
+    first) and then a deterministic chaining pass propagates feasible
+    values: a unit for a window stays feasible when the floor shrinks or the
+    cap grows, so each cell reports the best certified value available to
+    it.  The summary is max over floors of the min over caps.
     """
     params = params or SolverParams()
     floors = tuple(sorted(int(m) for m in floors))
@@ -294,8 +299,10 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
         return optimize_unit(tau, gauge, m, r, params)
 
     if jobs > 1:
+        # largest cap first: the costliest cells must not be left to finish last
+        order = sorted(pairs, key=lambda pair: -pair[1])
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = dict(zip(pairs, pool.map(solve, pairs)))
+            solved = dict(zip(order, pool.map(solve, order)))
     else:
         solved = {pair: solve(pair) for pair in pairs}
 
@@ -384,7 +391,7 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
             unit = optimize_unit(tau, gauge, m, r, params).unit
             if steps:
                 prev = steps[-1]
-                block = np.array(unit.block, dtype=np.complex128)
+                block = np.array(unit.block, dtype=tau.dtype)
                 block[:prev.cap_r, :prev.cap_r] -= prev.block
                 lam, w = np.linalg.eigh(_hermitize(block))
                 lifted = (w * np.maximum(lam, 0.0)) @ w.conj().T

@@ -181,8 +181,13 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("k-estimate", lambda c: c["solver"].update(step_rule="sqrt"), "solver.step_rule"),
     # refused by parse_config before anything of that size is allocated
     ("k-estimate", lambda c: c.update(dimension=10_000_000), "dimension"),
+    # a solver that cannot move, or never counts a stall, is refused up front
+    ("k-estimate", lambda c: c["solver"].update(step_scale=0.0), "solver.step_scale"),
+    ("k-estimate", lambda c: c["solver"].update(step_scale=0.5, stop_tolerance=-1.0),
+     "solver.stop_tolerance"),
 ], ids=["tail-window-start-after-end", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
-        "removed-step-rule", "dimension-beyond-memory"])
+        "removed-step-rule", "dimension-beyond-memory", "zero-step-scale",
+        "negative-stop-tolerance"])
 def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     cfg = copy.deepcopy(BASE)
     edit(cfg)

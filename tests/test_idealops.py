@@ -17,7 +17,7 @@ from commlab import (
     support_size,
     tuple_gauge_norm,
 )
-from commlab.idealops import DENSE_CORNER, band_commutator
+from commlab.idealops import DENSE_CORNER, band_commutator, embed
 
 MODELS = [
     OperatorModelSpec(name="diagonal-grid", n=2),
@@ -67,6 +67,29 @@ def test_models_hermitian_and_banded(spec):
         i, j = np.nonzero(t)
         if i.size:
             assert np.abs(i - j).max() <= tau.bandwidth
+
+
+@pytest.mark.parametrize("spec, dtype", zip(MODELS, (np.float64, np.float64, np.complex128)),
+                         ids=[s.name for s in MODELS])
+def test_model_field(spec, dtype):
+    tau = instantiate_model(spec, 8)
+    assert tau.dtype == dtype
+    assert all(t.dtype == dtype and not t.flags.writeable for t in tau.matrices)
+
+
+def test_tuple_field_is_read_from_the_entries():
+    # zero imaginary parts make a real tuple; one nonzero part makes all members complex
+    real_valued = np.diag([1.0, 2.0]).astype(np.complex128)
+    assert HermitianTuple.from_matrices([real_valued]).dtype == np.float64
+    assert HermitianTuple.from_matrices([[[0, 1], [1, 0]]]).dtype == np.float64
+    mixed = HermitianTuple.from_matrices([np.eye(2), [[0.0, -1j], [1j, 0.0]]])
+    assert [t.dtype for t in mixed.matrices] == [np.complex128, np.complex128]
+
+
+def test_embed_keeps_the_block_field():
+    assert embed(np.eye(2), 4).dtype == np.float64
+    assert embed(np.eye(2, dtype=np.complex128), 4).dtype == np.complex128
+    assert np.array_equal(embed(np.eye(2), 4), np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_model_errors():

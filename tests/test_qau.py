@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from commlab import (
+    HermitianTuple,
     MonotonizationError,
     OperatorModelSpec,
     SolverParams,
@@ -110,6 +111,47 @@ def test_ramp_window_validation():
 # -------------------------------------------------------------- optimizer
 
 
+@pytest.mark.parametrize("field, value", [("step_scale", 0.0), ("stop_tolerance", -1e-8)],
+                         ids=["zero-step-scale", "negative-stop-tolerance"])
+def test_solver_params_refuse_a_solver_that_cannot_move(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SolverParams(**{field: value})
+
+
+def phase_conjugate(tau, seed):
+    """D T_j D* for a random diagonal unitary D: complex, banded, equivalent to tau."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, tau.dimension))
+    return HermitianTuple.from_matrices(
+        [d[:, None] * t * d.conj() for t in tau.matrices], bandwidth=tau.bandwidth)
+
+
+@pytest.mark.parametrize("gauge", [schatten(2), sup_gauge()], ids=lambda g: g.label)
+def test_real_tuple_matches_its_complex_phase_conjugate(gauge):
+    # D fixes every diagonal unit, the ramp included, and D [T, A] D* has the
+    # singular values of [T, A].  Schatten-2's subgradient K / |K|_F is unique,
+    # so the two paths agree step by step.  [T, A] is antisymmetric for real
+    # symmetric T and A, so its top singular value is double and the sup
+    # paths may take different subgradients: on these windows both keep the
+    # ramp's value, and only values and iteration counts are compared.
+    real = instantiate_model(LAP, 40)
+    cplx = phase_conjugate(real, 8)
+    assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+    a = optimize_unit(real, gauge, 4, 20)
+    b = optimize_unit(cplx, gauge, 4, 20)
+    assert a.unit.block.dtype == np.float64
+    assert len(a.trace) == len(b.trace)
+    assert a.value == pytest.approx(b.value, rel=1e-9, abs=0)
+    if gauge == schatten(2):
+        assert [v for _, v, _ in a.trace] == pytest.approx([v for _, v, _ in b.trace],
+                                                           rel=1e-9, abs=0)
+    grid = dict(floors=[2, 4], caps=[16, 20])
+    ta, tb = k_estimate(real, gauge, **grid), k_estimate(cplx, gauge, **grid)
+    assert [(c.iterations, c.status) for c in ta.cells] == \
+        [(c.iterations, c.status) for c in tb.cells]
+    assert [c.beta for c in ta.cells] == pytest.approx([c.beta for c in tb.cells],
+                                                       rel=1e-9, abs=0)
+
+
 def test_optimizer_exact_zero_on_commuting_model():
     tau = instantiate_model(GRID2, 12)
     for g in [schatten(1), schatten(2), ky_fan(2)]:
@@ -205,13 +247,15 @@ def test_k_table_monotone_and_summary():
     assert all(c.beta >= 0.0 for c in table.cells)
 
 
-def test_k_table_deterministic_under_jobs():
+@pytest.mark.parametrize("jobs", [2, 3], ids=lambda j: f"jobs-{j}")
+def test_k_table_deterministic_under_jobs(jobs):
+    # more cells than workers, handed out largest cap first
     tau = instantiate_model(LAP, 48)
     params = SolverParams(max_iterations=120)
-    serial = k_estimate(tau, schatten(2), floors=[4], caps=[12, 20], params=params)
-    threaded = k_estimate(tau, schatten(2), floors=[4], caps=[12, 20],
-                          params=params, jobs=2)
-    assert [c.beta for c in serial.cells] == [c.beta for c in threaded.cells]
+    grid = dict(floors=[4, 8], caps=[12, 20, 28], params=params)
+    serial = k_estimate(tau, schatten(2), **grid)
+    threaded = k_estimate(tau, schatten(2), **grid, jobs=jobs)
+    assert serial.cells == threaded.cells
     assert serial.estimate == threaded.estimate
 
 
