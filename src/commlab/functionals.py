@@ -86,6 +86,10 @@ class TracePart:
     def support(self) -> int:
         return max([self.x.shape[0]] + [y.shape[0] for y in self.ys])
 
+    def reach(self, bandwidth: int) -> int:
+        """max(sx, sy + b over the nonempty Y_j): the leading rows of S the pairing reads."""
+        return max([self.x.shape[0]] + [y.shape[0] + bandwidth for y in self.ys if y.shape[0]])
+
     @classmethod
     def zero(cls, n: int, gauge: GaugeSpec) -> "TracePart":
         empty = np.zeros((0, 0), dtype=np.complex128)
@@ -103,7 +107,7 @@ def _block_trace_product(a_block: np.ndarray, full: np.ndarray) -> complex:
 def _check_margin(tp: TracePart, tau: HermitianTuple):
     if len(tp.ys) != tau.n:
         raise ValueError(f"trace part carries {len(tp.ys)} commutator slots, tuple has {tau.n}")
-    need = max([tp.x.shape[0]] + [y.shape[0] + tau.bandwidth for y in tp.ys])
+    need = tp.reach(tau.bandwidth)
     if need > tau.dimension:
         raise ValueError(
             f"supports exceed instantiation: need dimension {need}, have {tau.dimension}")
@@ -140,8 +144,7 @@ def reduce_to_trace(tp: TracePart, tau: HermitianTuple) -> np.ndarray:
     starting from (X, 0) returns X unchanged.
     """
     _check_margin(tp, tau)
-    out_size = max([tp.x.shape[0]] +
-                   [y.shape[0] + tau.bandwidth for y in tp.ys if y.shape[0]] + [0])
+    out_size = tp.reach(tau.bandwidth)
     out = np.zeros((out_size, out_size), dtype=np.complex128)
     sx = tp.x.shape[0]
     out[:sx, :sx] = tp.x
@@ -190,10 +193,6 @@ class TailStateSpec:
     @property
     def depth(self) -> int:
         return len(self.windows)
-
-    @property
-    def max_index(self) -> int:
-        return max(hi for _, hi in self.windows)
 
 
 def coordinate_tail_states(positions, limit_rule: str = "plain",
@@ -301,17 +300,15 @@ def eval_functional(phi, tau: HermitianTuple, s, depth: int | None = None) -> co
 def rows_read(phi, tau: HermitianTuple) -> np.ndarray:
     """Sorted indices of the rows of S that `eval_functional(phi, tau, S)` reads.
 
-    A trace part reads the leading max(sx, sy + b) rows (X, and the
-    commutator corners of the Y_j); a tail state reads its window rows.
+    A trace part reads its `reach` leading rows (X, and the commutator
+    corners of the Y_j); a tail state reads its window rows.
     """
     specs = [f for _, f in phi.terms] if isinstance(phi, FunctionalCombo) else [phi]
     rows = []
     for spec in specs:
         tp, ts = spec.trace_part, spec.singular_part
         if tp is not None:
-            lead = max([tp.x.shape[0]] +
-                       [y.shape[0] + tau.bandwidth for y in tp.ys if y.shape[0]])
-            rows.append(np.arange(min(lead, tau.dimension)))
+            rows.append(np.arange(min(tp.reach(tau.bandwidth), tau.dimension)))
         if ts is not None:
             rows.extend(np.arange(lo - 1, hi) for lo, hi in ts.windows)
     return np.unique(np.concatenate(rows)) if rows else np.zeros(0, dtype=int)

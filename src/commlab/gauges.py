@@ -127,12 +127,20 @@ def _square(matrix) -> np.ndarray:
     return m
 
 
+def _divide(m: np.ndarray, scale: float) -> np.ndarray:
+    """m / scale.  numpy divides a complex array through 1/scale, which
+    overflows for a subnormal scale; such a division goes part by part."""
+    if np.isfinite(1.0 / scale) or not np.iscomplexobj(m):
+        return m / scale
+    return m.real / scale + 1j * (m.imag / scale)
+
+
 def _frobenius(m: np.ndarray) -> float:
     """|M|_F, rescaled by the largest entry only when the direct sum over- or underflows."""
     value = float(np.linalg.norm(m))
     if value in (0.0, np.inf) and m.any():
         scale = float(np.abs(m).max())
-        value = scale * float(np.linalg.norm(m / scale))
+        value = scale * float(np.linalg.norm(_divide(m, scale)))
     return value
 
 
@@ -234,7 +242,7 @@ def norm_value_and_subgradient(gauge: GaugeSpec, matrix) -> tuple[float, np.ndar
     m = m.astype(np.promote_types(m.dtype, float), copy=False)
     if gauge.family == SCHATTEN and gauge.p == 2:
         value = _frobenius(m)
-        return value, (m / value if value > 0.0 else np.zeros_like(m))
+        return value, (_divide(m, value) if value > 0.0 else np.zeros_like(m))
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] <= 0.0:
         return 0.0, np.zeros_like(m)

@@ -109,7 +109,6 @@ class HermitianTuple:
 
     matrices: tuple[np.ndarray, ...]
     bandwidth: int
-    source: OperatorModelSpec | None = None
 
     def __post_init__(self):
         if not self.matrices:
@@ -144,12 +143,11 @@ class HermitianTuple:
         return self.matrices[0].dtype
 
     @classmethod
-    def from_matrices(cls, matrices, bandwidth: int | None = None,
-                      source: OperatorModelSpec | None = None) -> "HermitianTuple":
+    def from_matrices(cls, matrices, bandwidth: int | None = None) -> "HermitianTuple":
         mats = tuple(np.asarray(m) for m in matrices)
         if bandwidth is None:
             bandwidth = mats[0].shape[0] - 1 if mats else 0
-        return cls(matrices=mats, bandwidth=int(bandwidth), source=source)
+        return cls(matrices=mats, bandwidth=int(bandwidth))
 
 
 def _is_banded(matrix: np.ndarray, bandwidth: int) -> bool:
@@ -165,7 +163,7 @@ def instantiate_model(spec: OperatorModelSpec, dim: int) -> HermitianTuple:
     _, bandwidth, builder = _MODELS[spec.name]
     if dim < 2 * bandwidth + 2:
         raise ValueError(f"dimension {dim} too small for bandwidth {bandwidth}")
-    tau = HermitianTuple(matrices=tuple(builder(spec, dim)), bandwidth=bandwidth, source=spec)
+    tau = HermitianTuple(matrices=tuple(builder(spec, dim)), bandwidth=bandwidth)
     for m in tau.matrices:
         m.setflags(write=False)
     return tau

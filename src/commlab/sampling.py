@@ -14,12 +14,10 @@ KINDS = ("random-hermitian", "banded", "finitely-supported")
 @dataclass(frozen=True)
 class SampleSpec:
     seed: int
-    count: int
+    count: int = 6
     kinds: tuple[str, ...] = ("random-hermitian",)
     support: int = 6
     bandwidth: int = 3
-    include_identity: bool = True
-    normalize: bool = True
 
     def __post_init__(self):
         if self.count < 0:
@@ -64,26 +62,22 @@ def _sample_matrix(rng: np.random.Generator, kind: str, dim: int,
 
 def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
                       gauge: GaugeSpec) -> tuple[TestOperator, ...]:
-    """Deterministic test operators at the tuple's dimension.
+    """The identity, then `count` deterministic draws at the tuple's dimension.
 
-    With `normalize` each operator is scaled so its max-form norm (operator
-    norm vs commutator gauge norm) is one; the identity already has norm one
-    and is left alone.
+    Each nonzero draw is scaled so its max-form norm (operator norm vs
+    commutator gauge norm) is one; the identity already has norm one.
     """
     rng = np.random.default_rng(spec.seed)
     dim = tau.dimension
-    ops = []
-    if spec.include_identity:
-        eye = np.eye(dim, dtype=np.complex128)
-        eye.setflags(write=False)
-        ops.append(TestOperator(op_id="identity", matrix=eye, kind="random-hermitian"))
+    eye = np.eye(dim, dtype=np.complex128)
+    eye.setflags(write=False)
+    ops = [TestOperator(op_id="identity", matrix=eye, kind="random-hermitian")]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         m = _sample_matrix(rng, kind, dim, spec.support, spec.bandwidth)
-        if spec.normalize:
-            norm = e_norm_max(tau, gauge, m)
-            if norm > 1e-14:
-                m = m / norm
+        norm = e_norm_max(tau, gauge, m)
+        if norm > 1e-14:
+            m = m / norm
         m.setflags(write=False)
         ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind))
     return tuple(ops)

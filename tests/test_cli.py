@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commlab
-from commlab import ConfigError, parse_config, runner
+from commlab import ConfigError, SolverParams, parse_config, runner
 from commlab.cli import build_parser, main
 
 SCHEMA_DIR = Path(commlab.__file__).parent / "schemas"
@@ -116,6 +116,19 @@ def test_with_seed_replaces_both_seeds():
     assert reseeded.sample.seed == 11
 
 
+def test_minimal_config_takes_the_dataclass_defaults():
+    config = parse_config({
+        "seed": 3, "model": {"name": "lap-pos"}, "dimension": 16,
+        "gauges": [{"family": "sup"}],
+        "functionals": [{"singular_part": {"windows": [[p, p] for p in range(9, 16)]}}],
+    })
+    assert config.solver == SolverParams()
+    assert config.sample.count == 6
+    assert config.schedule_mode == "ramp"
+    tail = config.functionals[0].singular_part
+    assert (tail.limit_rule, tail.detection_tol) == ("plain", 1e-9)
+
+
 # ---------------------------------------------------------------- the CLI
 
 
@@ -196,6 +209,45 @@ def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     assert code == 2
     assert f"config error: {path}: " in err
     assert "Traceback" not in err
+
+
+def _at(cfg, section):
+    """The object at a config path such as functionals[0].trace_part."""
+    keys = section.replace("[", ".").replace("]", "").split(".")
+    return functools.reduce(operator.getitem,
+                            [int(k) if k.isdigit() else k for k in keys], cfg)
+
+
+def _refusal(tmp_path, capsys, cfg):
+    code = run_cli("gauge-check", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [
+    "gauges[0]", "model", "solver", "windows", "functionals[0]",
+    "functionals[0].trace_part", "functionals[0].singular_part", "test_set", "outputs"])
+def test_cli_refuses_an_unknown_key_in_every_section(tmp_path, capsys, section):
+    cfg = variant(outputs={"formats": ["json"]})
+    _at(cfg, section)["step_rule"] = 1
+    err = _refusal(tmp_path, capsys, cfg)
+    assert f"config error: {section}.step_rule: unknown field" in err
+
+
+@pytest.mark.parametrize("key", ["include_identity", "normalize"])
+def test_cli_refuses_the_removed_test_set_keys(tmp_path, capsys, key):
+    cfg = copy.deepcopy(BASE)
+    cfg["test_set"][key] = True
+    assert f"config error: test_set.{key}: unknown field" in _refusal(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("model", "name"), ("gauges[0]", "family"), ("functionals[0].singular_part", "windows")])
+def test_cli_refuses_a_missing_required_key(tmp_path, capsys, section, key):
+    cfg = copy.deepcopy(BASE)
+    del _at(cfg, section)[key]
+    assert f"config error: {section}.{key}: required" in _refusal(tmp_path, capsys, cfg)
 
 
 @pytest.mark.parametrize("stage, edit, stem, diagnostic", [

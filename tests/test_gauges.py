@@ -175,6 +175,17 @@ def test_schatten_norm_does_not_overflow(p, scale):
     assert np.vdot(norm_subgradient(schatten(p), m), m).real == want  # Re<D, M> = |M|
 
 
+def test_schatten_norm_of_a_complex_subnormal_matrix():
+    # dividing a complex array by a subnormal scale goes through 1/scale = inf
+    m = np.diag([3e-320 + 0j, 4e-320 + 0j])
+    want = pytest.approx(5e-320, rel=1e-12, abs=0.0)
+    value, d = norm_value_and_subgradient(schatten(2), m)
+    assert gauge_norm(schatten(2), m.real) == want
+    assert gauge_norm(schatten(2), m) == want
+    assert value == want
+    assert np.vdot(d, m).real == want  # Re<D, M> = |M|
+
+
 def test_gauge_value_rejects_negative_entries():
     with pytest.raises(ValueError):
         gauge_value(schatten(1), [1.0, -0.5])
