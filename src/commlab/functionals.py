@@ -400,6 +400,10 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     sharp when the class is zero).  The negated y blocks are also tried as a
     candidate, so elements constructed inside the null subspace certify an
     upper bound of exactly zero.  Any evaluated point gives a valid bound.
+    The perturbations are one (n, work, work) stack, zero outside the
+    window, so each iterate takes one broadcast commutator for the
+    representative, one SVD for its trace norm, one stacked dual norm and
+    one broadcast commutator for the gradient.
 
     Lower: the largest normalized pairing against the sampled test set.
     """
@@ -409,38 +413,36 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         raise ValueError(f"window {window} infeasible at dimension {tau.dimension}")
     if tp.support + tau.bandwidth > tau.dimension:
         raise ValueError("supports exceed instantiation")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations out of range: {max_iterations!r}")
     dual = conjugate_gauge(gauge)
-    work = min(tau.dimension, max(window, tp.support) + tau.bandwidth)
+    band = tau.bandwidth
+    work = min(tau.dimension, max(window, tp.support) + band)
+    ts = np.stack([t[:work, :work] for t in tau.matrices]).astype(np.complex128)
     xe = embed(tp.x, work)
-    yes = [embed(y, work) for y in tp.ys]
+    ye = np.stack([embed(y, work) for y in tp.ys])
 
-    def blocked(m: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(m)
-        out[:window, :window] = m[:window, :window]
-        return out
+    def evaluate(ws: np.ndarray) -> tuple[float, np.ndarray]:
+        # the cost and its windowed subgradients from one SVD of x + sum_j [T_j, w_j]
+        trace_norm, d1 = norm_value_and_subgradient(
+            _TRACE_NORM, sum(band_commutator(ts, ws, band), xe))
+        dual_norms, ds = norm_value_and_subgradient(dual, ye + ws)
+        grads = (band_commutator(ts, d1, band)[:, :window, :window]
+                 + ds[:, :window, :window])
+        return trace_norm + sum(dual_norms), grads
 
-    def evaluate(ws) -> tuple[float, list[np.ndarray]]:
-        # the cost and its blocked subgradients from one SVD of x + sum_j [T_j, w_j]
-        first = xe.copy()
-        for t, w in zip(tau.matrices, ws):
-            first += band_commutator(t, w, tau.bandwidth)
-        trace_norm, d1 = norm_value_and_subgradient(_TRACE_NORM, first)
-        duals = [norm_value_and_subgradient(dual, y + w) for y, w in zip(yes, ws)]
-        grads = [blocked(band_commutator(t, d1, tau.bandwidth) + d)
-                 for t, (_, d) in zip(tau.matrices, duals)]
-        return trace_norm + sum(v for v, _ in duals), grads
-
-    ws = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
+    ws = np.zeros_like(ye)
     current, grads = evaluate(ws)
-    best = min(current, evaluate([blocked(-y) for y in yes])[0])
+    candidate = np.zeros_like(ye)
+    candidate[:, :window, :window] = -ye[:, :window, :window]
+    best = min(current, evaluate(candidate)[0])
     iterations = 0
     for it in range(max_iterations):
         iterations = it + 1
-        gsq = sum(float(np.linalg.norm(g)) ** 2 for g in grads)
+        gsq = np.vdot(grads, grads).real
         if gsq <= 1e-30 or current <= 1e-14:
             break
-        step = current / gsq
-        ws = [w - step * g for w, g in zip(ws, grads)]
+        ws[:, :window, :window] -= (current / gsq) * grads
         current, grads = evaluate(ws)
         if current < best:
             best = current

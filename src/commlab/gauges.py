@@ -101,7 +101,11 @@ def _as_sorted_values(values) -> np.ndarray:
 
 def gauge_value(gauge: GaugeSpec, values) -> float:
     """Evaluate the gauge on a nonnegative, nonincreasing sequence."""
-    t = _as_sorted_values(values)
+    return _sorted_gauge_value(gauge, _as_sorted_values(values))
+
+
+def _sorted_gauge_value(gauge: GaugeSpec, t: np.ndarray) -> float:
+    """The gauge of t, already nonnegative and nonincreasing (as an SVD returns it)."""
     if t.size == 0:
         return 0.0
     if gauge.family == SCHATTEN:
@@ -118,29 +122,41 @@ def gauge_value(gauge: GaugeSpec, values) -> float:
     return float(t[0])
 
 
-def _square(matrix) -> np.ndarray:
+def _square(matrix, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
-def _divide(m: np.ndarray, scale: float) -> np.ndarray:
-    """m / scale.  numpy divides a complex array through 1/scale, which
-    overflows for a subnormal scale; such a division goes part by part."""
-    if np.isfinite(1.0 / scale) or not np.iscomplexobj(m):
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+def _divide(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """m / scale, for one scale or one per slice of a stack (shape (n, 1, 1)).
+
+    numpy divides a complex array through 1/scale, which overflows for a
+    subnormal scale; slices with such a scale are divided part by part.
+    """
+    if not np.iscomplexobj(m) or scale.min() >= _SMALLEST_NORMAL:
         return m / scale
-    return m.real / scale + 1j * (m.imag / scale)
+    normal = scale >= _SMALLEST_NORMAL
+    return np.where(normal, m / np.where(normal, scale, 1.0),
+                    m.real / scale + 1j * (m.imag / scale))
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """|M|_F, rescaled by the largest entry only when the direct sum over- or underflows."""
+    """|M|_F, rescaled only when the direct sum over- or underflows.
+
+    The scale is the largest real or imaginary part, which stays finite
+    where the largest modulus would overflow.
+    """
     value = float(np.linalg.norm(m))
     if value in (0.0, np.inf) and m.any():
-        scale = float(np.abs(m).max())
-        value = scale * float(np.linalg.norm(_divide(m, scale)))
+        scale = max(np.abs(m.real).max(), np.abs(m.imag).max())
+        value = float(scale) * float(np.linalg.norm(_divide(m, scale)))
     return value
 
 
@@ -231,38 +247,47 @@ def holder_check(x, y, gauge: GaugeSpec) -> HolderReport:
     return HolderReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-9 * (1.0 + rhs))
 
 
-def norm_value_and_subgradient(gauge: GaugeSpec, matrix) -> tuple[float, np.ndarray]:
+def norm_value_and_subgradient(gauge: GaugeSpec,
+                               matrix) -> tuple[float | np.ndarray, np.ndarray]:
     """The gauge norm of M and a dual-aligned subgradient D, from one factorization.
 
     Re<D, M> = |M|_gauge and D has conjugate gauge norm at most one; D = 0
     when M vanishes.  Schatten-2 takes D = M / |M|_F with no SVD; other
-    gauges take D = U f(sigma) V*.  D is real when M is.
+    gauges take D = U f(sigma) V* and read the value from the SVD's sorted
+    sigma.  D is real when M is.  M may be a stack of shape (n, c, c): then
+    the values come as an array and D as a stack, each slice with the bits
+    of its own call.
     """
-    m = _square(matrix)
+    m = _square(matrix, ndims=(2, 3))
     m = m.astype(np.promote_types(m.dtype, float), copy=False)
+    stack = m if m.ndim == 3 else m[None]
     if gauge.family == SCHATTEN and gauge.p == 2:
-        value = _frobenius(m)
-        return value, (_divide(m, value) if value > 0.0 else np.zeros_like(m))
-    u, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0.0, np.zeros_like(m)
-    value = gauge_value(gauge, s)
-    f = np.zeros_like(s)
+        values = [_frobenius(x) for x in stack]
+        d = _divide(stack, np.array([v if v > 0.0 else 1.0 for v in values]).reshape(-1, 1, 1))
+    else:
+        u, s, vh = np.linalg.svd(stack)
+        values = [_sorted_gauge_value(gauge, x) for x in s]
+        d = (u * _subgradient_weights(gauge, s, values)[:, None, :]) @ vh
+    return (np.array(values), d) if m.ndim == 3 else (values[0], d[0])
+
+
+def _subgradient_weights(gauge: GaugeSpec, s: np.ndarray, values: list[float]) -> np.ndarray:
+    """f(sigma) for each row of the stacked singular values s, zero where sigma vanishes."""
     if gauge.family == SCHATTEN:
         if gauge.p == 1:
-            f[s > 1e-14 * s[0]] = 1.0
-        else:
-            f = (s / value) ** (gauge.p - 1.0)
-    elif gauge.family == KY_FAN:
-        f[: gauge.k] = 1.0
+            return (s > 1e-14 * s[:, :1]).astype(float)
+        scale = np.array([v if v > 0.0 else 1.0 for v in values]).reshape(-1, 1)
+        return (s / scale) ** (gauge.p - 1.0)
+    f = np.zeros_like(s)
+    if gauge.family == KY_FAN:
+        f[:, : gauge.k] = 1.0
     elif gauge.family == KY_FAN_DUAL:
-        if s[0] >= s.sum() / gauge.k:
-            f[0] = 1.0
-        else:
-            f[:] = 1.0 / gauge.k
+        top = s[:, :1] >= s.sum(axis=1, keepdims=True) / gauge.k
+        f[:] = np.where(top, 0.0, 1.0 / gauge.k)
+        f[:, :1] += top
     else:  # sup
-        f[0] = 1.0
-    return value, (u * f) @ vh
+        f[:, :1] = 1.0
+    return f * (s[:, :1] > 0.0)
 
 
 def norm_subgradient(gauge: GaugeSpec, matrix) -> np.ndarray:

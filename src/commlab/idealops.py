@@ -185,32 +185,37 @@ DENSE_CORNER = 64
 def band_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:
     """[T_c, S] for c x c S, with T_c the leading c-corner of T (bandwidth b).
 
-    Above DENSE_CORNER, with 2b + 1 < c, T_c S and S T_c are accumulated from
-    the 2b + 1 diagonals, one shifted copy of S each, at O(c^2 b) cost; other
-    corners take the dense products.  The routes cross near c = 64 (one BLAS
-    thread, lap-pos: dense 9.6 us against 47 us at c = 11, 145 against 149 us
-    at 64, 1.40 ms against 0.46 ms at 145).  For diagonal S each entry gets a
-    single nonzero product from each side, so both routes give bitwise the
-    dense products whenever each product is one rounding: for real S, and for
-    T with real or imaginary entries as in the models.
+    Both operands broadcast over a leading tuple axis: T may be a stack
+    (n, N, N) of members and S a c x c matrix or a stack (n, c, c), and the
+    result is the stack of the members' commutators, each slice with the
+    bits of its own call.  Above DENSE_CORNER, with 2b + 1 < c, T_c S and
+    S T_c are accumulated from the 2b + 1 diagonals, one shifted copy of S
+    each, at O(c^2 b) cost; other corners take the dense products.  The
+    routes cross near c = 64 (one BLAS thread, lap-pos: dense 9.6 us against
+    47 us at c = 11, 145 against 149 us at 64, 1.40 ms against 0.46 ms at
+    145).  For diagonal S each entry gets a single nonzero product from each
+    side, so both routes give bitwise the dense products whenever each
+    product is one rounding: for real S, and for T with real or imaginary
+    entries as in the models.
     """
-    c = s.shape[0]
-    t = t[:c, :c]
+    c = s.shape[-1]
+    t = t[..., :c, :c]
     field = np.promote_types(t.dtype, s.dtype)
     # A real T meets a complex S in S's field: numpy's mixed-type products
     # cast inside every call, which costs more than casting T's entries once.
     if 2 * bandwidth + 1 >= c or c <= DENSE_CORNER:
         t = t.astype(field, copy=False)
         return t @ s - s @ t
-    out = np.zeros((c, c), dtype=field)
+    out = np.zeros(max(t.shape, s.shape, key=len), dtype=field)  # the stacked shape
     for d in range(-bandwidth, bandwidth + 1):
-        diag = np.diagonal(t, d).astype(field, copy=False)  # T[i, i + d]
+        diag = np.diagonal(t, d, axis1=-2, axis2=-1).astype(field, copy=False)  # T[i, i + d]
+        rows, cols = diag[..., :, None], diag[..., None, :]
         if d >= 0:
-            out[:c - d] += diag[:, None] * s[d:]
-            out[:, d:] -= s[:, :c - d] * diag
+            out[..., :c - d, :] += rows * s[..., d:, :]
+            out[..., d:] -= s[..., :c - d] * cols
         else:
-            out[-d:] += diag[:, None] * s[:c + d]
-            out[:, :c + d] -= s[:, -d:] * diag
+            out[..., -d:, :] += rows * s[..., :c + d, :]
+            out[..., :c + d] -= s[..., -d:] * cols
     return out
 
 

@@ -192,7 +192,8 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     under the bounds.  Residuals of (phi - recovered part) are checked on the
     finitely supported members, and the sampled norm lower bound is compared
     against the sum of the split upper bounds.  Any NotConverged marks the
-    report failed with diagnostics instead of raising.
+    report failed with diagnostics instead of raising.  Each operator's norm
+    is the one its TestOperator carries, not taken again.
     """
     tp = combined_trace_part(phi, tau)
     if tp.gauge != gauge and not tp.x.size and not any(y.size for y in tp.ys):
@@ -209,7 +210,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     for op in test_set:
         sm = op.matrix
         target = eval_trace_part(tp, tau, sm)
-        s_norm = operator_norm(sm)
+        s_norm = op.operator_norm
         s_comms = commutator_tuple(tau, sm)
         e_norms[op.op_id] = max(s_norm, tuple_gauge_norm(s_comms, gauge))
         bounds = tuple(

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import GaugeSpec
-from .idealops import HermitianTuple, e_norm_max
+from .gauges import GaugeSpec, operator_norm
+from .idealops import HermitianTuple, commutator_tuple, tuple_gauge_norm
 
 KINDS = ("random-hermitian", "banded", "finitely-supported")
 
@@ -31,9 +31,12 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class TestOperator:
+    """A test operator with its operator norm, taken once when it was drawn."""
+
     op_id: str
     matrix: np.ndarray
     kind: str
+    operator_norm: float
 
     @property
     def finitely_supported(self) -> bool:
@@ -65,19 +68,24 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
     """The identity, then `count` deterministic draws at the tuple's dimension.
 
     Each nonzero draw is scaled so its max-form norm (operator norm vs
-    commutator gauge norm) is one; the identity already has norm one.
+    commutator gauge norm) is one; the identity already has norm one.  The
+    operator norm is carried as the draw's operator norm over that scale.
     """
     rng = np.random.default_rng(spec.seed)
     dim = tau.dimension
     eye = np.eye(dim, dtype=np.complex128)
     eye.setflags(write=False)
-    ops = [TestOperator(op_id="identity", matrix=eye, kind="random-hermitian")]
+    ops = [TestOperator(op_id="identity", matrix=eye, kind="random-hermitian",
+                        operator_norm=1.0)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         m = _sample_matrix(rng, kind, dim, spec.support, spec.bandwidth)
-        norm = e_norm_max(tau, gauge, m)
+        s_norm = operator_norm(m)
+        # e_norm_max(tau, gauge, m), keeping its operator-norm term
+        norm = max(s_norm, tuple_gauge_norm(commutator_tuple(tau, m), gauge))
         if norm > 1e-14:
             m = m / norm
+            s_norm /= norm
         m.setflags(write=False)
-        ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind))
+        ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind, operator_norm=s_norm))
     return tuple(ops)

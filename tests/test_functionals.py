@@ -436,6 +436,34 @@ def test_quotient_matches_two_pass_reference(gauge, max_iterations):
         assert abs(bounds.upper - upper) <= 1e-10 * abs(upper)
 
 
+def test_quotient_takes_one_svd_per_iterate(monkeypatch):
+    # schatten-2: one SVD for the start, one for the -y candidate, one per iterate
+    rng = np.random.default_rng(55)
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
+    pe = PredualElement(x=random_block(rng, 4),
+                        ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    bounds = quotient_norm_bounds(pe, tau, G2, window=10,
+                                  sample_spec=SampleSpec(seed=13, count=4), max_iterations=7)
+    assert bounds.iterations == 7
+    assert len(calls) == bounds.iterations + 2
+
+
+def test_quotient_refuses_negative_max_iterations():
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 16)
+    pe = PredualElement(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)
+    with pytest.raises(ValueError, match="max_iterations"):
+        quotient_norm_bounds(pe, tau, G2, window=4, sample_spec=SampleSpec(seed=1, count=2),
+                             max_iterations=-1)
+
+
 def test_quotient_window_validation():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 16)
     pe = PredualElement(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)

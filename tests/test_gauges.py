@@ -186,6 +186,40 @@ def test_schatten_norm_of_a_complex_subnormal_matrix():
     assert np.vdot(d, m).real == want  # Re<D, M> = |M|
 
 
+def test_schatten2_overflow_of_a_complex_entry_gives_inf():
+    # |1.5e308 + 1.5e308j| overflows although both parts are finite
+    m = np.diag([1.5e308 + 1.5e308j, 1.0])
+    assert gauge_norm(schatten(2), m) == np.inf
+    value, d = norm_value_and_subgradient(schatten(2), m)
+    assert value == np.inf
+    assert not np.isnan(d).any()
+
+
+def stack_cases():
+    """A stack with a random, a zero and a complex subnormal slice, and a real stack."""
+    rng = np.random.default_rng(12)
+    subnormal = np.zeros((4, 4), dtype=np.complex128)
+    subnormal[0, 0], subnormal[1, 2] = 3e-320, 4e-320j
+    complex_stack = np.stack([random_matrix(rng, 4), np.zeros((4, 4), dtype=np.complex128),
+                              subnormal, 1e200 * random_matrix(rng, 4)])
+    return [complex_stack, np.stack([rng.standard_normal((4, 4)) for _ in range(3)])]
+
+
+@pytest.mark.parametrize("g", [schatten(1), schatten(1.5), schatten(2), schatten(3), ky_fan(2),
+                               ky_fan_dual(2), sup_gauge()], ids=lambda g: g.label)
+def test_stacked_value_and_subgradient_match_the_slices_bitwise(g):
+    for stack in stack_cases():
+        values, d = norm_value_and_subgradient(g, stack)
+        assert values.shape == (len(stack),) and d.shape == stack.shape
+        assert d.dtype == np.promote_types(stack.dtype, float)
+        for m, value, dm in zip(stack, values, d):
+            want_value, want_d = norm_value_and_subgradient(g, m)
+            assert value == want_value
+            assert np.array_equal(dm, want_d)
+            # Re<D, M> = |M|; products in the subnormal range keep only absolute precision
+            assert float(np.vdot(dm, m).real) == pytest.approx(value, rel=1e-12, abs=1e-321)
+
+
 def test_gauge_value_rejects_negative_entries():
     with pytest.raises(ValueError):
         gauge_value(schatten(1), [1.0, -0.5])
@@ -378,7 +412,7 @@ def test_subgradient_alignment_and_dual_feasibility():
 def test_subgradient_of_zero_matrix():
     d = norm_subgradient(schatten(2), np.zeros((3, 3)))
     assert np.all(d == 0)
-    for g in (schatten(1), schatten(2)):
+    for g in ALL_GAUGES:
         for dim in (0, 1, 5):
             value, d = norm_value_and_subgradient(g, np.zeros((dim, dim)))
             assert value == 0.0

@@ -240,6 +240,26 @@ def test_band_commutator_on_a_leading_corner(spec, c):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("c", [20, 100], ids=["dense-corner", "diagonal-corner"])
+@pytest.mark.parametrize("name", ["lap-pos", "shift-parts"])
+def test_band_commutator_on_a_stacked_tuple_matches_the_members_bitwise(name, c):
+    # a real tuple (lap-pos) and a complex one (shift-parts), each against one
+    # operand and against a stack of operands, one per member
+    rng = np.random.default_rng(32)
+    tau = instantiate_model(OperatorModelSpec(name=name), 160)
+    b = tau.bandwidth
+    ts = np.stack(tau.matrices)
+    s = np.zeros((c, c), dtype=np.complex128)
+    s[:c - b, :c - b] = random_hermitian(rng, c - b)
+    stack = np.stack([s, 1j * s.T])
+    for operand in (s, s.real, stack):
+        got = band_commutator(ts, operand, b)
+        assert got.shape == (tau.n, c, c)
+        for j, t in enumerate(tau.matrices):
+            member = operand if operand.ndim == 2 else operand[j]
+            assert np.array_equal(got[j], band_commutator(t, member, b))
+
+
 def test_commutator_dimension_mismatch():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 8)
     with pytest.raises(ValueError):

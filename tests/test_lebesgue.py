@@ -345,6 +345,38 @@ def test_decompose_takes_no_n_sized_svd(monkeypatch):
     assert sizes and max(sizes) < dim
 
 
+def test_test_set_carries_operator_norms():
+    tau = lap(64)
+    ops = generate_test_set(SampleSpec(seed=82, count=3,
+                                       kinds=("random-hermitian", "banded", "finitely-supported")),
+                            tau, G2)
+    assert ops[0].operator_norm == 1.0
+    for op in ops:
+        assert op.operator_norm == pytest.approx(operator_norm(op.matrix), rel=1e-12, abs=0.0)
+
+
+def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
+    # the test set carries each operator's norm, so decompose does not take it again
+    dim = 256
+    tau = lap(dim)
+    sched = build_schedule(tau, G2, [(4 * m, 4 * r) for m, r in CORNER_WINDOWS])
+    phi = FunctionalSpec(trace_part=random_trace_part(np.random.default_rng(80)),
+                         singular_part=coordinate_tail_states(range(dim - 6, dim + 1)))
+    ops = generate_test_set(SampleSpec(seed=81, count=2), tau, G2)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        sizes.append(max(np.shape(a)))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    report = decompose(phi, sched, tau, G2, ops)
+    assert [op.kind for op in ops] == ["random-hermitian"] * 3
+    assert report.status == "ok"
+    assert dim not in sizes
+
+
 # -------------------------------------------------------------- decompose
 
 
