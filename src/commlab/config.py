@@ -13,7 +13,7 @@ Shape (entries marked * are required):
       "model"*: {"name": "lap-pos", "n": 2, "parameters": [1.0, 400]},
       "dimension"*: 64,
       "gauges"*: [{"family": "schatten", "p": 2.0, "label": "p2"}, ...],
-      "solver": {"max_iterations": 2000, "step_scale": 1.0, ...},
+      "solver": {"max_iterations": 2000},
       "windows": {"floors": [...], "caps": [...],
                   "schedule": [[m, r], ...], "mode": "ramp"},
       "functionals": [{"label": "phi-0",
@@ -144,6 +144,14 @@ def _make(cls, path, kwargs, field=None):
         raise ConfigError(f"{path}.{field(str(err))}" if field else path, str(err)) from None
 
 
+def require_memory(need: int, what: str):
+    """Refuse at `dimension` an allocation of `need` bytes beyond physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ConfigError("dimension", f"{what} need {need} bytes, "
+                                       f"more than the {memory} bytes of physical memory")
+
+
 def _entry(value, path) -> complex:
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
@@ -192,15 +200,9 @@ def _model(value, path) -> OperatorModelSpec:
     return _make(OperatorModelSpec, path, _section(value, path, _MODEL, ("name",)))
 
 
-def _solver(value, path) -> SolverParams:
-    # SolverParams names the field that broke first in its message
-    return _make(SolverParams, path, _section(value, path, _SOLVER), lambda err: err.split()[0])
-
-
 _GAUGE = {"family": _str, "p": _number, "k": _int(1), "label": _str}
 _MODEL = {"name": _str, "n": _int(0), "parameters": _items(_number)}
-_SOLVER = {"max_iterations": _int(1), "step_scale": _number, "stop_tolerance": _number,
-           "patience": _int(1)}
+_SOLVER = {"max_iterations": _int(1)}
 _WINDOWS = {"floors": _items(_int(1)), "caps": _items(_int(1)), "schedule": _items(_window),
             "mode": _choice(SCHEDULE_MODES)}
 # "states" stays "uniform" until the window ends are checked against the dimension
@@ -215,7 +217,8 @@ _TEST_SET = {"count": _int(0), "kinds": _items(_choice(KINDS)), "support": _int(
              "bandwidth": _int(0)}
 _OUTPUTS = {"formats": _items(_choice(FORMATS))}
 _TOP = {"seed": _int(0), "model": _model, "dimension": _int(2), "gauges": _items(_gauge),
-        "solver": _solver, "windows": partial(_section, fields=_WINDOWS),
+        "solver": lambda value, path: SolverParams(**_section(value, path, _SOLVER)),
+        "windows": partial(_section, fields=_WINDOWS),
         "functionals": _items(partial(_section, fields=_FUNCTIONAL)),
         "test_set": partial(_section, fields=_TEST_SET),
         "outputs": partial(_section, fields=_OUTPUTS)}
@@ -292,11 +295,8 @@ def parse_config(data) -> ExperimentConfig:
     band = model.bandwidth
     if dimension < 2 * band + 2:
         raise ConfigError("dimension", f"model {model.name!r} needs dimension >= {2 * band + 2}")
-    need = model.n * 16 * dimension ** 2
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise ConfigError("dimension", f"{model.n} dense operators need {need} bytes, "
-                                       f"more than the {memory} bytes of physical memory")
+    require_memory(model.n * (2 * band + 1) * dimension * 16,
+                   f"{model.n} operators of {2 * band + 1} complex diagonals")
     if not gauges:
         raise ConfigError("gauges", "at least one gauge is required")
 

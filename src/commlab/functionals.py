@@ -96,21 +96,15 @@ class TracePart:
         return cls(x=empty, ys=tuple(empty for _ in range(n)), gauge=gauge)
 
 
-def _block_trace_product(a_block: np.ndarray, full: np.ndarray) -> complex:
-    # Tr(A F) for A supported in its leading block.
-    s = a_block.shape[0]
-    if s == 0:
-        return 0.0 + 0.0j
-    return complex(np.trace(a_block @ full[:s, :s]))
-
-
-def _check_margin(tp: TracePart, tau: HermitianTuple):
+def _check_margin(tp: TracePart, tau: HermitianTuple) -> int:
+    """The reach of tp on tau, refused when the tuple is too small or short of slots."""
     if len(tp.ys) != tau.n:
         raise ValueError(f"trace part carries {len(tp.ys)} commutator slots, tuple has {tau.n}")
     need = tp.reach(tau.bandwidth)
     if need > tau.dimension:
         raise ValueError(
             f"supports exceed instantiation: need dimension {need}, have {tau.dimension}")
+    return need
 
 
 def eval_trace_part(tp: TracePart, tau: HermitianTuple, s) -> complex:
@@ -122,18 +116,16 @@ def eval_trace_part(tp: TracePart, tau: HermitianTuple, s) -> complex:
     a larger dimension with the same corner.  It is constant on the class of
     tp modulo commutator-sum pairs.
     """
-    _check_margin(tp, tau)
+    reach = _check_margin(tp, tau)
     sm = np.asarray(s)
     if sm.shape != (tau.dimension, tau.dimension):
         raise ValueError("operand dimension does not match the tuple")
-    value = _block_trace_product(tp.x, sm)
-    for t, y in zip(tau.matrices, tp.ys):
-        sy = y.shape[0]
-        if sy == 0:
-            continue
-        c = min(tau.dimension, sy + tau.bandwidth)
-        k = band_commutator(t, sm[:c, :c], tau.bandwidth)
-        value += complex(np.trace(y @ k[:sy, :sy]))
+    sx, b = tp.x.shape[0], tau.bandwidth
+    value = complex(np.trace(tp.x @ sm[:sx, :sx])) if sx else 0j
+    for t, y in zip(tau.corner(reach), tp.ys):
+        if sy := y.shape[0]:
+            k = band_commutator(t, sm[:sy + b, :sy + b], b)
+            value += complex(np.trace(y @ k[:sy, :sy]))
     return value
 
 
@@ -143,17 +135,12 @@ def reduce_to_trace(tp: TracePart, tau: HermitianTuple) -> np.ndarray:
     Evaluating any S against the result reproduces eval_trace_part exactly;
     starting from (X, 0) returns X unchanged.
     """
-    _check_margin(tp, tau)
-    out_size = tp.reach(tau.bandwidth)
-    out = np.zeros((out_size, out_size), dtype=np.complex128)
-    sx = tp.x.shape[0]
-    out[:sx, :sx] = tp.x
-    for t, y in zip(tau.matrices, tp.ys):
-        sy = y.shape[0]
-        if sy == 0:
-            continue
-        c = sy + tau.bandwidth
-        out[:c, :c] -= band_commutator(t, embed(y, c), tau.bandwidth)
+    reach = _check_margin(tp, tau)
+    out = embed(tp.x, reach)  # complex128, the field of X
+    for t, y in zip(tau.corner(reach), tp.ys):
+        if sy := y.shape[0]:
+            c = sy + tau.bandwidth
+            out[:c, :c] -= band_commutator(t, embed(y, c), tau.bandwidth)
     return out
 
 
@@ -407,8 +394,7 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
 
     Lower: the largest normalized pairing against the sampled test set.
     """
-    if len(tp.ys) != tau.n:
-        raise ValueError(f"trace part carries {len(tp.ys)} slots, tuple has {tau.n}")
+    _check_margin(tp, tau)
     if window < 1 or window + tau.bandwidth > tau.dimension:
         raise ValueError(f"window {window} infeasible at dimension {tau.dimension}")
     if tp.support + tau.bandwidth > tau.dimension:
@@ -418,7 +404,7 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     dual = conjugate_gauge(gauge)
     band = tau.bandwidth
     work = min(tau.dimension, max(window, tp.support) + band)
-    ts = np.stack([t[:work, :work] for t in tau.matrices]).astype(np.complex128)
+    ts = tau.corner(work).astype(np.complex128)
     xe = embed(tp.x, work)
     ye = np.stack([embed(y, work) for y in tp.ys])
 

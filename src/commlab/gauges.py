@@ -12,6 +12,7 @@ value 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import numpy as np
 
 SCHATTEN = "schatten"
@@ -132,6 +133,7 @@ def _square(matrix, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
 
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
+_LARGEST = float(np.finfo(float).max)
 
 
 def _divide(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -148,16 +150,20 @@ def _divide(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """|M|_F, rescaled only when the direct sum over- or underflows.
+    """|M|_F, rescaled only when the direct sum of squares would over- or underflow.
 
-    The scale is the largest real or imaginary part, which stays finite
-    where the largest modulus would overflow.
+    It is decided before any sum from the largest real or imaginary part, which stays
+    finite where the largest modulus overflows (argmax and argmin: no temporary array).
     """
-    value = float(np.linalg.norm(m))
-    if value in (0.0, np.inf) and m.any():
-        scale = max(np.abs(m.real).max(), np.abs(m.imag).max())
-        value = float(scale) * float(np.linalg.norm(_divide(m, scale)))
-    return value
+    x = m.ravel()
+    parts = x.view(x.real.dtype) if x.dtype.kind == "c" else x  # real and imaginary parts
+    scale = max(parts[parts.argmax()], -parts[parts.argmin()]) if parts.size else 0.0
+    s = float(scale)  # python floats: these products may overflow without a warning
+    if s * s > 0.0 and s * s * parts.size <= _LARGEST / 2:
+        return float(np.linalg.norm(m))
+    if s == 0.0 or not math.isfinite(s):
+        return s
+    return s * float(np.linalg.norm(_divide(m, scale)))
 
 
 def singular_values(matrix) -> np.ndarray:

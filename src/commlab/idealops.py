@@ -1,15 +1,17 @@
-"""Hermitian operator tuples as banded matrices, with commutator norms.
+"""Hermitian operator tuples stored by their 2b + 1 diagonals, with commutator norms.
 
 Built-in models generate each entry from the index and fixed parameters only,
 never from the instantiation dimension, so a tuple instantiated at N and at
-N' > N agrees on the leading N x N corner.  Together with the declared
-bandwidth b this makes commutators against finitely supported matrices exact
-under truncation: `corner_commutators` computes [T, S] on the leading
-(support + bandwidth) corner c, which is both bitwise reproducible across
-dimensions and cheap when the support is small.  Every [T, S] in the package
-goes through `band_commutator`, which takes a large corner from the 2b + 1
-diagonals of T at O(c^2 b) cost and a small one, or a band as wide as it, by
-dense products.
+N' > N agrees on the leading N x N corner.  A tuple of n members costs
+n(2b + 1)N numbers, and dense members are formed only as the leading corners
+that a computation reads (`HermitianTuple.corner`).  Together with the
+declared bandwidth b this makes commutators against finitely supported
+matrices exact under truncation: `corner_commutators` computes [T, S] on the
+leading (support + bandwidth) corner c, which is both bitwise reproducible
+across dimensions and cheap when the support is small.  Every [T, S] in the
+package goes through `band_commutator`, which takes a large corner from the
+2b + 1 diagonals of T at O(c^2 b) cost and a small one, or a band as wide as
+it, by dense products.
 """
 
 from __future__ import annotations
@@ -59,37 +61,32 @@ class OperatorModelSpec:
         return _MODELS[self.name][1]
 
 
-def _build_diagonal_grid(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
+def _build_diagonal_grid(spec: OperatorModelSpec, dim: int) -> np.ndarray:
     steps = int(spec.parameters[0]) if spec.parameters else 3
     j = np.arange(1, dim + 1, dtype=float)
-    return [np.diag(np.minimum(j / (steps * i), 1.0)) for i in range(1, spec.n + 1)]
+    return np.stack([np.minimum(j / (steps * i), 1.0) for i in range(1, spec.n + 1)])[:, None]
 
 
-def _build_lap_pos(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
+def _build_lap_pos(spec: OperatorModelSpec, dim: int) -> np.ndarray:
     scale = spec.parameters[0] if spec.parameters else 1.0
     grid = int(spec.parameters[1]) if len(spec.parameters) > 1 else 400
-    j = np.arange(1, dim + 1, dtype=float)
-    position = np.diag(np.minimum(j / grid, 1.0))
-    lap = np.zeros((dim, dim))
-    np.fill_diagonal(lap, 2.0)
-    idx = np.arange(dim - 1)
-    lap[idx, idx + 1] = -1.0
-    lap[idx + 1, idx] = -1.0
-    return [position, scale * lap]
+    diagonals = np.zeros((2, 3, dim))
+    diagonals[0, 1] = np.minimum(np.arange(1, dim + 1, dtype=float) / grid, 1.0)
+    # python floats: a scale beyond the float range gives inf here, refused as non-finite
+    diagonals[1, 1] = 2.0 * scale
+    diagonals[1, 0, 1:] = diagonals[1, 2, :-1] = -1.0 * scale
+    return diagonals
 
 
-def _build_shift_parts(spec: OperatorModelSpec, dim: int) -> list[np.ndarray]:
-    real = np.zeros((dim, dim), dtype=np.complex128)
-    imag = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(dim - 1)
-    real[idx + 1, idx] = 0.5
-    real[idx, idx + 1] = 0.5
-    imag[idx + 1, idx] = -0.5j
-    imag[idx, idx + 1] = 0.5j
-    return [real, imag]
+def _build_shift_parts(spec: OperatorModelSpec, dim: int) -> np.ndarray:
+    diagonals = np.zeros((2, 3, dim), dtype=np.complex128)
+    diagonals[0, 0, 1:] = diagonals[0, 2, :-1] = 0.5
+    diagonals[1, 0, 1:] = -0.5j
+    diagonals[1, 2, :-1] = 0.5j
+    return diagonals
 
 
-# name -> (fixed n or None, bandwidth, builder)
+# name -> (fixed n or None, bandwidth, builder of the diagonals)
 _MODELS = {
     "diagonal-grid": (None, 0, _build_diagonal_grid),
     "lap-pos": (2, 1, _build_lap_pos),
@@ -97,76 +94,102 @@ _MODELS = {
 }
 
 
+def _band(bandwidth: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(slot, row, col) of each band entry T[row, col] of a size x size matrix,
+    which is stored at diagonals[:, slot, row]."""
+    cols = np.arange(size) + np.arange(-bandwidth, bandwidth + 1)[:, None]
+    slot, row = np.nonzero((cols >= 0) & (cols < size))
+    return slot, row, cols[slot, row]
+
+
 @dataclass(frozen=True)
 class HermitianTuple:
-    """A finite tuple of hermitian N x N matrices with a certified bandwidth.
+    """A tuple of n hermitian N x N matrices of bandwidth b, stored by diagonals.
 
-    The members share one field, `dtype`: float64 when no member has a
-    nonzero imaginary part, complex128 otherwise.  A real tuple keeps every
-    unit computed against it real, since the real part of a unit is a unit
-    with commutators no larger.
+    diagonals[j, b + d, i] holds T_j[i, i + d], in shape (n, 2b + 1, N); slots
+    whose column falls outside the matrix hold zero.  Both halves of the band
+    are stored, so entries below the diagonal keep their own bits, signed
+    zeros included.  The storage is read-only, and dense members exist only
+    as the corners that `corner` builds.  The members share one field,
+    `dtype`: float64 when no entry has a nonzero imaginary part, complex128
+    otherwise.  A real tuple keeps every unit computed against it real,
+    since the real part of a unit is a unit with commutators no larger.
     """
 
-    matrices: tuple[np.ndarray, ...]
-    bandwidth: int
+    diagonals: np.ndarray
 
     def __post_init__(self):
-        if not self.matrices:
-            raise ValueError("tuple must contain at least one matrix")
-        mats = tuple(np.asarray(t) for t in self.matrices)
-        if any(np.iscomplexobj(t) and t.imag.any() for t in mats):
-            mats = tuple(np.ascontiguousarray(t, dtype=np.complex128) for t in mats)
-        else:
-            mats = tuple(np.ascontiguousarray(t.real, dtype=np.float64) for t in mats)
-        object.__setattr__(self, "matrices", mats)
-        dim = self.matrices[0].shape[0]
-        for t in self.matrices:
-            if t.ndim != 2 or t.shape != (dim, dim):
-                raise ValueError("all tuple members must be square with a common dimension")
-            if not np.all(np.isfinite(t)):
-                raise ValueError("tuple members must have finite entries")
-            if np.abs(t - t.conj().T).max(initial=0.0) > HERMITIAN_TOL:
+        d = np.asarray(self.diagonals)
+        if d.ndim != 3 or not d.shape[0] or d.shape[1] % 2 == 0:
+            raise ValueError("diagonals must have shape (n, 2b + 1, N) with n >= 1")
+        d = np.array(d, dtype=np.complex128) if np.iscomplexobj(d) and d.imag.any() \
+            else np.array(d.real, dtype=np.float64)
+        d.setflags(write=False)
+        object.__setattr__(self, "diagonals", d)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("tuple members must have finite entries")
+        b, dim = self.bandwidth, self.dimension
+        for k in range(b + 1):
+            upper, lower = d[:, b + k], d[:, b - k]  # T[i, i + k] and T[i, i - k] at i
+            inside = max(dim - k, 0)
+            if upper[:, inside:].any() or lower[:, :dim - inside].any():
+                raise ValueError("diagonal entry outside the matrix")
+            if np.abs(upper[:, :inside] - lower[:, k:].conj()).max(initial=0.0) > HERMITIAN_TOL:
                 raise ValueError("tuple members must be hermitian")
-            if not _is_banded(t, self.bandwidth):
-                raise ValueError(f"entry outside the declared bandwidth {self.bandwidth}")
 
     @property
     def n(self) -> int:
-        return len(self.matrices)
+        return self.diagonals.shape[0]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.diagonals.shape[1] // 2
 
     @property
     def dimension(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.diagonals.shape[2]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.matrices[0].dtype
+        return self.diagonals.dtype
+
+    def corner(self, c: int) -> np.ndarray:
+        """The read-only (n, c, c) stack of the members' leading c x c corners."""
+        if not 0 <= c <= self.dimension:
+            raise ValueError(f"corner {c} outside the dimension {self.dimension}")
+        slot, row, col = _band(self.bandwidth, c)
+        out = np.zeros((self.n, c, c), dtype=self.dtype)
+        out[:, row, col] = self.diagonals[:, slot, row]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The members as read-only N x N arrays."""
+        return tuple(self.corner(self.dimension))
 
     @classmethod
     def from_matrices(cls, matrices, bandwidth: int | None = None) -> "HermitianTuple":
-        mats = tuple(np.asarray(m) for m in matrices)
-        if bandwidth is None:
-            bandwidth = mats[0].shape[0] - 1 if mats else 0
-        return cls(matrices=mats, bandwidth=int(bandwidth))
-
-
-def _is_banded(matrix: np.ndarray, bandwidth: int) -> bool:
-    dim = matrix.shape[0]
-    if bandwidth >= dim - 1:
-        return True
-    i, j = np.nonzero(matrix)
-    return bool(np.all(np.abs(i - j) <= bandwidth))
+        """The tuple of dense members, of bandwidth N - 1 unless one is declared."""
+        stack = np.array([np.asarray(m) for m in matrices])  # ValueError when ragged
+        if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+            raise ValueError("a tuple is at least one square matrix, all of one dimension")
+        dim = stack.shape[1]
+        b = dim - 1 if bandwidth is None else int(bandwidth)
+        if np.triu(stack, b + 1).any() or np.tril(stack, -b - 1).any():
+            raise ValueError(f"entry outside the declared bandwidth {b}")
+        slot, row, col = _band(b, dim)
+        diagonals = np.zeros((len(stack), 2 * b + 1, dim), dtype=stack.dtype)
+        diagonals[:, slot, row] = stack[:, row, col]
+        return cls(diagonals)
 
 
 def instantiate_model(spec: OperatorModelSpec, dim: int) -> HermitianTuple:
-    """Materialize the leading dim x dim corner of a built-in model."""
+    """The leading dim x dim corner of a built-in model, stored by diagonals."""
     _, bandwidth, builder = _MODELS[spec.name]
     if dim < 2 * bandwidth + 2:
         raise ValueError(f"dimension {dim} too small for bandwidth {bandwidth}")
-    tau = HermitianTuple(matrices=tuple(builder(spec, dim)), bandwidth=bandwidth)
-    for m in tau.matrices:
-        m.setflags(write=False)
-    return tau
+    return HermitianTuple(builder(spec, dim))
 
 
 def embed(block: np.ndarray, dim: int) -> np.ndarray:
@@ -227,27 +250,23 @@ def corner_commutators(tau: HermitianTuple, block: np.ndarray) -> tuple[np.ndarr
     """
     c = min(tau.dimension, block.shape[0] + tau.bandwidth)
     a = block if block.shape[0] == c else embed(block, c)  # no N x N copy at full support
-    return tuple(band_commutator(t, a, tau.bandwidth) for t in tau.matrices)
+    return tuple(band_commutator(t, a, tau.bandwidth) for t in tau.corner(c))
 
 
 def commutator_tuple(tau: HermitianTuple, s) -> tuple[np.ndarray, ...]:
     """The tuple ([T_1, S], ..., [T_n, S]) with [T, S] = TS - ST."""
     sm = np.asarray(s)
     dim = tau.dimension
-    if sm.ndim != 2 or sm.shape != (dim, dim):
-        raise ValueError(
-            f"operand dimension {sm.shape} does not match tuple dimension {dim}")
+    if sm.shape != (dim, dim):
+        raise ValueError(f"operand dimension {sm.shape} does not match tuple dimension {dim}")
     size = support_size(sm)
     ks = corner_commutators(tau, sm[:size, :size])
     return ks if ks[0].shape[0] == dim else tuple(embed(k, dim) for k in ks)
 
 
 def tuple_gauge_norm(matrices, gauge: GaugeSpec) -> float:
-    """max_j of the gauge norms over a tuple of matrices."""
-    mats = tuple(matrices)
-    if not mats:
-        raise ValueError("tuple_gauge_norm needs a nonempty tuple")
-    return max(gauge_norm(gauge, m) for m in mats)
+    """max_j of the gauge norms over a tuple of matrices; ValueError when it is empty."""
+    return max(gauge_norm(gauge, m) for m in matrices)
 
 
 def e_norm_sum(tau: HermitianTuple, gauge: GaugeSpec, s) -> float:

@@ -219,25 +219,20 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
             for unit, norms in zip(steps, unit_norms))
         try:
             rec = recover_ac_part(phi, schedule, tau, sm, depth=depth)
+            seq, limit = rec.sequence, rec.limit
         except NotConverged as err:
             failed = True
             diagnostics.append(f"{op.op_id}: recovery did not converge")
-            seq = tuple(err.sequence)
-            gaps = tuple(abs(target - v) for v in seq)
-            records.append(RecoveryRecord(
-                s_id=op.op_id, sequence=seq, limit=None, bounds=bounds,
-                gaps=gaps, sound=all(g <= b + SOUNDNESS_TOL
-                                     for g, b in zip(gaps, bounds))))
-            continue
-        gaps = tuple(abs(target - v) for v in rec.sequence)
+            seq, limit = tuple(err.sequence), None
+        gaps = tuple(abs(target - v) for v in seq)
         sound = all(g <= b + SOUNDNESS_TOL for g, b in zip(gaps, bounds))
-        if not sound:
-            failed = True
-            diagnostics.append(f"{op.op_id}: gap exceeds certified bound")
-        records.append(RecoveryRecord(
-            s_id=op.op_id, sequence=rec.sequence, limit=rec.limit,
-            bounds=bounds, gaps=gaps, sound=sound))
-        limits[op.op_id] = rec.limit
+        if limit is not None:
+            limits[op.op_id] = limit
+            if not sound:
+                failed = True
+                diagnostics.append(f"{op.op_id}: gap exceeds certified bound")
+        records.append(RecoveryRecord(s_id=op.op_id, sequence=seq, limit=limit,
+                                      bounds=bounds, gaps=gaps, sound=sound))
 
     residuals = []
     for op in test_set:

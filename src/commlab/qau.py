@@ -33,21 +33,20 @@ class MonotonizationError(ValueError):
     """Projection onto the monotone constraint broke another constraint."""
 
 
+# Steps start at STEP_SCALE * value / |subgradient| and decay as 1/sqrt(iteration); the
+# search stops below STOP_TOLERANCE, or after PATIENCE iterations that gain less than it.
+STEP_SCALE = 1.0
+STOP_TOLERANCE = 1e-8
+PATIENCE = 50
+
+
 @dataclass(frozen=True)
 class SolverParams:
     max_iterations: int = 2000
-    step_scale: float = 1.0
-    stop_tolerance: float = 1e-8
-    patience: int = 50
 
     def __post_init__(self):
-        # a zero step never moves, and a negative tolerance never counts a stall
-        for field, ok in (("max_iterations", self.max_iterations >= 0),
-                          ("step_scale", self.step_scale > 0),
-                          ("stop_tolerance", self.stop_tolerance >= 0),
-                          ("patience", self.patience >= 1)):
-            if not ok:
-                raise ValueError(f"{field} out of range: {getattr(self, field)!r}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations out of range: {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +184,18 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
         value = tuple_gauge_norm(corner_commutators(tau, unit.block), gauge)
         return OptimizeResult(unit=unit, value=value, trace=((0, value, value),))
 
+    # every commutator of the search lives on this corner, taken once
+    ts = tau.corner(cap_r + band)
+
     def objective(block: np.ndarray) -> tuple[float, list[float], tuple[np.ndarray, ...]]:
-        ks = corner_commutators(tau, block)
+        a = embed(block, cap_r + band)
+        ks = tuple(band_commutator(t, a, band) for t in ts)
         norms = [gauge_norm(gauge, k) for k in ks]
         return max(norms), norms, ks
 
     def subgradient(norms: list[float], ks: tuple[np.ndarray, ...]) -> np.ndarray:
         j = int(np.argmax(norms))  # lowest index wins ties
-        g = band_commutator(tau.matrices[j], norm_subgradient(gauge, ks[j]), band)
+        g = band_commutator(ts[j], norm_subgradient(gauge, ks[j]), band)
         return _hermitize(g[:cap_r, :cap_r])
 
     # The ramp is certified by ramp_unit, and _project_window is exact, so
@@ -204,14 +207,14 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
     reference = best_value
     base_step = None
     for it in range(1, params.max_iterations + 1):
-        if best_value <= params.stop_tolerance:
+        if best_value <= STOP_TOLERANCE:
             break
         g = subgradient(norms, ks)
         gnorm = _frobenius(g)
         if gnorm <= 1e-15:
             break
         if base_step is None:
-            base_step = params.step_scale * best_value / gnorm
+            base_step = STEP_SCALE * best_value / gnorm
         step = base_step / np.sqrt(it)
         x = _project_window(x - step * g, floor_m)
         value, norms, ks = objective(x)
@@ -219,9 +222,9 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
             best_value = value
             best_block = x
         trace.append((it, float(value), float(best_value)))
-        if reference - best_value < params.stop_tolerance:
+        if reference - best_value < STOP_TOLERANCE:
             stall += 1
-            if stall >= params.patience:
+            if stall >= PATIENCE:
                 break
         else:
             stall = 0
@@ -295,8 +298,7 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
     pairs = [(m, r) for m in floors for r in caps]
 
     def solve(pair):
-        m, r = pair
-        return optimize_unit(tau, gauge, m, r, params)
+        return optimize_unit(tau, gauge, *pair, params)
 
     if jobs > 1:
         # largest cap first: the costliest cells must not be left to finish last
@@ -306,23 +308,16 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
     else:
         solved = {pair: solve(pair) for pair in pairs}
 
-    beta = {}
-    status = {}
-    for m in sorted(floors, reverse=True):
-        for i, r in enumerate(caps):
-            value = solved[(m, r)].value
-            tag = "ok"
-            if i > 0 and beta[(m, caps[i - 1])] < value:
-                value = beta[(m, caps[i - 1])]
-                tag = "chained"
-            larger = [f for f in floors if f > m]
-            if larger:
-                up = min(larger)
-                if beta[(up, r)] < value:
-                    value = beta[(up, r)]
-                    tag = "chained"
-            beta[(m, r)] = value
-            status[(m, r)] = tag
+    beta, status = {}, {}
+    for i in reversed(range(len(floors))):
+        m = floors[i]
+        for k, r in enumerate(caps):
+            own = solved[(m, r)].value
+            # the best unit of the next smaller cap, or of the next larger floor
+            inherited = ([beta[(m, caps[k - 1])]] if k else []) \
+                + ([beta[(floors[i + 1], r)]] if i + 1 < len(floors) else [])
+            beta[(m, r)] = min([own] + inherited)
+            status[(m, r)] = "chained" if beta[(m, r)] < own else "ok"
 
     cells = tuple(
         KCell(floor_m=m, cap_r=r, beta=beta[(m, r)],

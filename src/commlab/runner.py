@@ -15,9 +15,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, require_memory
 from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, holder_check,
                      norm_subgradient, operator_norm)
+from .idealops import HermitianTuple
 from .lebesgue import DecompositionReport, decompose
 from .qau import UnitSchedule, build_schedule, k_estimate
 from .sampling import generate_test_set
@@ -141,10 +142,9 @@ def stage_gauge_check(config: ExperimentConfig) -> dict:
 
 
 def stage_k_estimate(config: ExperimentConfig, jobs: int = 1) -> dict:
-    if not config.floors:
-        raise ConfigError("windows.floors", "required for the k-estimate stage")
-    if not config.caps:
-        raise ConfigError("windows.caps", "required for the k-estimate stage")
+    for key in ("floors", "caps"):
+        if not getattr(config, key):
+            raise ConfigError(f"windows.{key}", "required for the k-estimate stage")
     table = k_estimate(config.instantiate(), config.primary_gauge, config.floors,
                        config.caps, params=config.solver, jobs=jobs)
     violations = list(table.monotonicity_violations())
@@ -161,16 +161,15 @@ def stage_k_estimate(config: ExperimentConfig, jobs: int = 1) -> dict:
     }
 
 
-def _build_configured_schedule(config: ExperimentConfig) -> UnitSchedule:
+def _build_configured_schedule(config: ExperimentConfig, tau: HermitianTuple) -> UnitSchedule:
     if not config.schedule_windows:
         raise ConfigError("windows.schedule", "required for this stage")
-    tau = config.instantiate()
     return build_schedule(tau, config.primary_gauge, config.schedule_windows,
                           mode=config.schedule_mode, params=config.solver)
 
 
 def stage_schedule(config: ExperimentConfig) -> dict:
-    schedule = _build_configured_schedule(config)
+    schedule = _build_configured_schedule(config, config.instantiate())
     steps = [{
         "floor": unit.floor_m,
         "cap": unit.cap_r,
@@ -211,9 +210,12 @@ def _report_payload(report: DecompositionReport) -> dict:
 def stage_decompose(config: ExperimentConfig) -> dict:
     if not config.functionals:
         raise ConfigError("functionals", "required for the decompose stage")
+    # the only stage that allocates N x N arrays: the identity and the draws
+    count = config.sample.count + 1
+    require_memory(count * 16 * config.dimension ** 2, f"{count} dense test operators")
     tau = config.instantiate()
     gauge = config.primary_gauge
-    schedule = _build_configured_schedule(config)
+    schedule = _build_configured_schedule(config, tau)
     test_set = generate_test_set(config.sample, tau, gauge)
     reports = []
     for i, phi in enumerate(config.functionals):
@@ -355,15 +357,16 @@ def render_report(out_dir) -> dict:
     written: list[str] = []
     notices: list[str] = []
 
+    def write(name: str, header: str, rows):
+        lines = [header, *(" ".join(_fmt(v) for v in row) for row in rows)]
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        written.append(name)
+
     k_path = out / "k_estimate.json"
     if k_path.exists():
         payload = json.loads(k_path.read_text(encoding="utf-8"))
-        lines = ["m r beta"]
-        lines.extend(f"{c['m']} {c['r']} {_fmt(float(c['beta']))}"
-                     for c in payload["cells"])
-        name = "k_estimate.dat"
-        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(name)
+        write("k_estimate.dat", "m r beta",
+              [(c["m"], c["r"], float(c["beta"])) for c in payload["cells"]])
     else:
         notices.append("no k-estimate artifact; skipped")
 
@@ -373,17 +376,12 @@ def render_report(out_dir) -> dict:
         for rep in payload["reports"]:
             for rec in rep["per_S"]:
                 stem = f"decomposition_{_safe_name(rep['phi_id'])}_{_safe_name(rec['S_id'])}"
-                lines = ["k value bound"]
-                gap_lines = ["k gap bound"]
-                for k, value in enumerate(rec["sequence"], start=1):
-                    bound = float(rec["bounds"][k - 1])
-                    lines.append(f"{k} {_fmt(float(value[0]))} {_fmt(bound)}")
-                    gap = float(rec["gaps"][k - 1])
-                    gap_lines.append(f"{k} {_fmt(gap)} {_fmt(bound)}")
-                (out / f"{stem}.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
-                (out / f"{stem}_gap.dat").write_text("\n".join(gap_lines) + "\n",
-                                                     encoding="utf-8")
-                written.extend([f"{stem}.dat", f"{stem}_gap.dat"])
+                steps = range(1, len(rec["sequence"]) + 1)
+                bounds = [float(b) for b in rec["bounds"]]
+                write(f"{stem}.dat", "k value bound",
+                      zip(steps, [float(v[0]) for v in rec["sequence"]], bounds))
+                write(f"{stem}_gap.dat", "k gap bound",
+                      zip(steps, [float(g) for g in rec["gaps"]], bounds))
     else:
         notices.append("no decomposition artifact; skipped")
 

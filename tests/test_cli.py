@@ -169,11 +169,9 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("stage, edit, path", [
     ("decompose", lambda c: c["functionals"][0]["trace_part"].update(x=[[[float("nan"), 0]]]),
      "functionals[0].trace_part.x[0][0][0]"),
-    ("k-estimate", lambda c: c["solver"].update(step_scale=float("inf")),
-     "solver.step_scale"),
-    ("k-estimate", lambda c: c["solver"].update(step_scale=10 ** 400),
-     "solver.step_scale"),
-], ids=["nan-matrix-entry", "infinite-step-scale", "integer-beyond-float-range"])
+    ("k-estimate", lambda c: c["gauges"][0].update(p=float("inf")), "gauges[0].p"),
+    ("k-estimate", lambda c: c["gauges"][0].update(p=10 ** 400), "gauges[0].p"),
+], ids=["nan-matrix-entry", "infinite-gauge-exponent", "integer-beyond-float-range"])
 def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     cfg = copy.deepcopy(BASE)
     edit(cfg)
@@ -192,15 +190,17 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("gauge-check", lambda c: c.update(model={"name": "diagonal-grid", "parameters": [0]}),
      "model"),
     ("k-estimate", lambda c: c["solver"].update(step_rule="sqrt"), "solver.step_rule"),
-    # refused by parse_config before anything of that size is allocated
-    ("k-estimate", lambda c: c.update(dimension=10_000_000), "dimension"),
-    # a solver that cannot move, or never counts a stall, is refused up front
+    # refused before anything of that size is allocated: the dense test operators
+    # of decompose by the stage, the diagonals of the tuple by parse_config
+    ("decompose", lambda c: c.update(dimension=10_000_000), "dimension"),
+    ("k-estimate", lambda c: c.update(dimension=10 ** 13), "dimension"),
+    # the solver's step and stopping rule are fixed; their former keys are unknown
     ("k-estimate", lambda c: c["solver"].update(step_scale=0.0), "solver.step_scale"),
-    ("k-estimate", lambda c: c["solver"].update(step_scale=0.5, stop_tolerance=-1.0),
+    ("k-estimate", lambda c: c["solver"].update(stop_tolerance=-1.0),
      "solver.stop_tolerance"),
 ], ids=["tail-window-start-after-end", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
-        "removed-step-rule", "dimension-beyond-memory", "zero-step-scale",
-        "negative-stop-tolerance"])
+        "removed-step-rule", "dimension-beyond-memory", "diagonals-beyond-memory",
+        "zero-step-scale", "negative-stop-tolerance"])
 def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     cfg = copy.deepcopy(BASE)
     edit(cfg)

@@ -13,6 +13,7 @@ from commlab import (
     instantiate_model,
     ky_fan,
     operator_norm,
+    optimize_unit,
     schatten,
     support_size,
     tuple_gauge_norm,
@@ -75,6 +76,66 @@ def test_model_field(spec, dtype):
     tau = instantiate_model(spec, 8)
     assert tau.dtype == dtype
     assert all(t.dtype == dtype and not t.flags.writeable for t in tau.matrices)
+
+
+def dense_reference(spec, dim):
+    """The members of a built-in model as dense arrays, entry by entry."""
+    j = np.arange(1, dim + 1, dtype=float)
+    idx = np.arange(dim - 1)
+    if spec.name == "diagonal-grid":
+        return [np.diag(np.minimum(j / (3 * i), 1.0)) for i in range(1, spec.n + 1)]
+    if spec.name == "lap-pos":
+        lap = 2.0 * np.eye(dim)
+        lap[idx, idx + 1] = lap[idx + 1, idx] = -1.0
+        return [np.diag(np.minimum(j / 400, 1.0)), 1.0 * lap]
+    real = np.zeros((dim, dim), dtype=np.complex128)
+    imag = np.zeros((dim, dim), dtype=np.complex128)
+    real[idx + 1, idx] = real[idx, idx + 1] = 0.5
+    imag[idx + 1, idx] = -0.5j  # complex(-0.0, -0.5): the real part is a negative zero
+    imag[idx, idx + 1] = 0.5j
+    return [real, imag]
+
+
+@pytest.mark.parametrize("dim", (24, 96))
+@pytest.mark.parametrize("spec", MODELS, ids=lambda s: s.name)
+def test_corners_and_members_are_the_dense_reference_bitwise(spec, dim):
+    tau = instantiate_model(spec, dim)
+    want = np.stack(dense_reference(spec, dim)).astype(tau.dtype)
+    for c in (0, 1, 2, 7, dim // 2, dim - 1, dim):
+        got = tau.corner(c)
+        assert got.shape == (tau.n, c, c) and got.dtype == tau.dtype
+        assert not got.flags.writeable
+        assert got.tobytes() == want[:, :c, :c].copy().tobytes()  # signed zeros included
+    assert len(tau.matrices) == tau.n
+    for got, member in zip(tau.matrices, want):
+        assert got.tobytes() == member.tobytes() and not got.flags.writeable
+    with pytest.raises(ValueError):
+        tau.corner(dim + 1)
+
+
+def test_tuple_stores_diagonals_so_a_million_costs_what_256_does():
+    # a lap-pos tuple is 2 (2b + 1) N numbers, and a unit's search reads only
+    # its (r + b) corner, so the optimizer gives the same bits at every N
+    spec = OperatorModelSpec(name="lap-pos")
+    small = instantiate_model(spec, 256)
+    assert small.diagonals.shape == (2, 3, 256)
+    big = instantiate_model(spec, 10 ** 6)
+    assert big.dtype == np.float64 and big.diagonals.size <= 2 * 3 * 10 ** 6
+    want, got = optimize_unit(small, schatten(2), 8, 48), optimize_unit(big, schatten(2), 8, 48)
+    assert got.value == want.value
+    assert got.unit.block.tobytes() == want.unit.block.tobytes()
+    assert got.unit.dimension == 10 ** 6
+
+
+def test_tuple_refuses_entries_outside_its_band_or_matrix():
+    with pytest.raises(ValueError, match="outside the declared bandwidth 1"):
+        HermitianTuple.from_matrices([np.ones((4, 4))], bandwidth=1)
+    diagonals = np.zeros((1, 3, 4))
+    diagonals[0, 2, 3] = 1.0  # T[3, 4] of a 4 x 4 matrix
+    with pytest.raises(ValueError, match="outside the matrix"):
+        HermitianTuple(diagonals)
+    with pytest.raises(ValueError, match="shape"):
+        HermitianTuple(np.zeros((1, 2, 4)))
 
 
 def test_tuple_field_is_read_from_the_entries():
