@@ -29,7 +29,7 @@ STATE_TOL = 1e-12
 
 
 class NotConverged(Exception):
-    """Limit detection failed within the available depth."""
+    """Limit detection failed on the finite sequence available."""
 
     def __init__(self, message: str, sequence=()):
         super().__init__(message)
@@ -177,10 +177,6 @@ class TailStateSpec:
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "states", states)
 
-    @property
-    def depth(self) -> int:
-        return len(self.windows)
-
 
 def coordinate_tail_states(positions, limit_rule: str = "plain",
                            detection_tol: float = 1e-9) -> TailStateSpec:
@@ -192,24 +188,22 @@ def coordinate_tail_states(positions, limit_rule: str = "plain",
                          limit_rule=limit_rule, detection_tol=detection_tol)
 
 
-def eval_singular_part(ts: TailStateSpec, s, depth: int | None = None) -> complex:
-    """Detected limit of tr(rho_k S) along the windows.
+def eval_singular_part(ts: TailStateSpec, s) -> complex:
+    """Detected limit of tr(rho_k S) along every window of the tail spec.
 
     Exactly zero for finitely supported S once the windows have passed the
-    support, since every window block of S is then the zero matrix.
+    support, since every window block of S is then the zero matrix.  To
+    evaluate along fewer windows, pass a spec holding only those.
     """
     sm = np.asarray(s)
     if sm.ndim != 2 or sm.shape[0] != sm.shape[1]:
         raise ValueError("operand must be a square matrix")
-    depth = ts.depth if depth is None else int(depth)
-    if not (0 < depth <= ts.depth):
-        raise ValueError(f"depth must be in 1..{ts.depth}")
-    deepest = max(hi for _, hi in ts.windows[:depth])
+    deepest = max(hi for _, hi in ts.windows)
     if deepest > sm.shape[0]:
         raise ValueError(
             f"window end {deepest} exceeds the instantiated dimension {sm.shape[0]}")
     values = []
-    for (lo, hi), rho in zip(ts.windows[:depth], ts.states[:depth]):
+    for (lo, hi), rho in zip(ts.windows, ts.states):
         block = sm[lo - 1:hi, lo - 1:hi]
         values.append(complex(np.trace(rho @ block)))
     return detect_limit(values, ts.limit_rule, ts.detection_tol)
@@ -271,16 +265,19 @@ def combined_trace_part(phi, tau: HermitianTuple) -> TracePart:
     return TracePart(x=x, ys=tuple(ys), gauge=gauge)
 
 
-def eval_functional(phi, tau: HermitianTuple, s, depth: int | None = None) -> complex:
-    """Evaluate a FunctionalSpec or FunctionalCombo; NotConverged propagates."""
+def eval_functional(phi, tau: HermitianTuple, s) -> complex:
+    """Evaluate a FunctionalSpec or FunctionalCombo; NotConverged propagates.
+
+    A singular part is evaluated along all of its windows.
+    """
     if isinstance(phi, FunctionalCombo):
-        return sum((c * eval_functional(f, tau, s, depth) for c, f in phi.terms),
+        return sum((c * eval_functional(f, tau, s) for c, f in phi.terms),
                    start=0.0 + 0.0j)
     value = 0.0 + 0.0j
     if phi.trace_part is not None:
         value += eval_trace_part(phi.trace_part, tau, s)
     if phi.singular_part is not None:
-        value += eval_singular_part(phi.singular_part, s, depth)
+        value += eval_singular_part(phi.singular_part, s)
     return value
 
 

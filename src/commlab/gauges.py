@@ -11,7 +11,7 @@ value 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 import numpy as np
 
@@ -39,13 +39,15 @@ class GaugeSpec:
     At finite matrix size every operator has finite rank, so the usual
     distinction between a normed ideal and the closure of the finite-rank
     operators inside it is vacuous here: every family is mononorming.
+    Two specs are equal when they name the same norm: `label` and `notes`
+    describe it and take no part in comparison or hashing.
     """
 
     family: str
     p: float | None = None
     k: int | None = None
-    label: str = ""
-    notes: str = ""
+    label: str = field(default="", compare=False)
+    notes: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:

@@ -46,30 +46,25 @@ class RecoveryResult:
     limit: complex
 
 
-def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s,
-                    depth: int | None = None) -> RecoveryResult:
-    """Push S through the unit schedule and detect the limit of the values.
+def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s) -> RecoveryResult:
+    """Push S through every step of the schedule and detect the limit of the values.
 
     The k-th value is the functional applied to A_k S.  Multiplying by A_k
     kills tail behaviour, so the limit is the trace-part value; the tail part
     contributes exactly zero at each step once its windows sit past the caps.
     A_k S vanishes outside its leading cap_r rows, and of those only the rows
     phi reads (`rows_read`) are formed.  Detection uses the plain five-delta
-    rule shared with tail states.
+    rule shared with tail states.  To recover along fewer steps, pass a
+    schedule built on fewer windows.
 
     Raises NotConverged (carrying the sequence) when no limit settles.
     """
-    n = len(schedule)
-    if depth is None:
-        depth = n
-    if not (1 <= depth <= n):
-        raise ValueError(f"depth must lie in [1, {n}], got {depth}")
     sm = np.asarray(s)
     if sm.shape != (tau.dimension, tau.dimension):
         raise ValueError("operand dimension does not match the tuple")
     read = rows_read(phi, tau)
     values = []
-    for unit in schedule.steps[:depth]:
+    for unit in schedule.steps:
         if unit.dimension != tau.dimension:
             raise ValueError("schedule dimension does not match the tuple")
         rows = read[read < unit.cap_r]
@@ -183,17 +178,18 @@ class DecompositionReport:
 
 def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
               gauge: GaugeSpec, test_set: tuple[TestOperator, ...],
-              depth: int | None = None, phi_id: str | None = None,
+              phi_id: str | None = None,
               schedule_id: str = "schedule-0") -> DecompositionReport:
     """Recover the trace part of phi on a test set, with certificates.
 
-    For every test operator the report records the recovery sequence, its
-    limit, the per-step error bounds, and whether the measured gaps stay
-    under the bounds.  Residuals of (phi - recovered part) are checked on the
-    finitely supported members, and the sampled norm lower bound is compared
-    against the sum of the split upper bounds.  Any NotConverged marks the
-    report failed with diagnostics instead of raising.  Each operator's norm
-    is the one its TestOperator carries, not taken again.
+    For every test operator the report records the recovery sequence along
+    every schedule step, its limit, the per-step error bounds, and whether
+    the measured gaps stay under the bounds.  Residuals of (phi - recovered
+    part) are checked on the finitely supported members, and the sampled
+    norm lower bound is compared against the sum of the split upper bounds.
+    Any NotConverged marks the report failed with diagnostics instead of
+    raising.  Each operator's norm is the one its TestOperator carries, not
+    taken again.
     """
     tp = combined_trace_part(phi, tau)
     if tp.gauge != gauge and not tp.x.size and not any(y.size for y in tp.ys):
@@ -205,8 +201,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     e_norms: dict[str, float] = {}  # e_norm_max of each operator, for the additivity check
     failed = False
 
-    steps = schedule.steps if depth is None else schedule.steps[:depth]
-    unit_norms = [unit_commutator_norms(tau, gauge, unit) for unit in steps]
+    unit_norms = [unit_commutator_norms(tau, gauge, unit) for unit in schedule.steps]
     for op in test_set:
         sm = op.matrix
         target = eval_trace_part(tp, tau, sm)
@@ -216,9 +211,9 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
         bounds = tuple(
             recovery_error_bound(tp, tau, gauge, unit, sm, s_norm=s_norm,
                                  s_commutators=s_comms, unit_norms=norms)
-            for unit, norms in zip(steps, unit_norms))
+            for unit, norms in zip(schedule.steps, unit_norms))
         try:
-            rec = recover_ac_part(phi, schedule, tau, sm, depth=depth)
+            rec = recover_ac_part(phi, schedule, tau, sm)
             seq, limit = rec.sequence, rec.limit
         except NotConverged as err:
             failed = True
@@ -271,7 +266,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
         if op.op_id not in limits:
             continue
         try:
-            again = recover_ac_part(trace_only, schedule, tau, op.matrix, depth=depth)
+            again = recover_ac_part(trace_only, schedule, tau, op.matrix)
         except NotConverged:
             failed = True
             diagnostics.append(f"{op.op_id}: second-pass recovery did not converge")
@@ -311,6 +306,7 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
     recoveries.  NotConverged propagates; these checks assume convergence.
     """
     phis = list(phis)
+    e_norms = {op.op_id: e_norm_max(tau, gauge, op.matrix) for op in test_set}
     first: list[dict[str, complex]] = []
     idem: list[float] = []
     addit: list[float] = []
@@ -331,7 +327,7 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
         x1, ysum = trace_part_norms(tp, gauge)
         upper = x1 + ysum + (1.0 if getattr(phi, "singular_part", None) is not None else 0.0)
         (lower,), _ = sampled_lower(lambda s: eval_functional(phi, tau, s), test_set,
-                                    (lambda op: e_norm_max(tau, gauge, op.matrix),))
+                                    (lambda op: e_norms[op.op_id],))
         addit.append(float(max(0.0, lower - upper)))
 
     alpha, beta = coeffs

@@ -257,20 +257,20 @@ class KEstimateTable:
                 return c
         raise KeyError((floor_m, cap_r))
 
-    def monotonicity_violations(self, tol: float = MONOTONE_TOL) -> tuple[str, ...]:
-        """Cells breaking the structural monotonicity, reported as failures."""
+    def monotonicity_violations(self) -> tuple[str, ...]:
+        """Cells breaking the structural monotonicity by more than MONOTONE_TOL."""
         problems = []
         beta = {(c.floor_m, c.cap_r): c.beta for c in self.cells}
         for m in self.floors:
             for r_small, r_big in zip(self.caps, self.caps[1:]):
-                if beta[(m, r_big)] > beta[(m, r_small)] + tol:
+                if beta[(m, r_big)] > beta[(m, r_small)] + MONOTONE_TOL:
                     problems.append(
-                        f"beta({m},{r_big}) > beta({m},{r_small}) + {tol:g}")
+                        f"beta({m},{r_big}) > beta({m},{r_small}) + {MONOTONE_TOL:g}")
         for m_small, m_big in zip(self.floors, self.floors[1:]):
             for r in self.caps:
-                if beta[(m_small, r)] > beta[(m_big, r)] + tol:
+                if beta[(m_small, r)] > beta[(m_big, r)] + MONOTONE_TOL:
                     problems.append(
-                        f"beta({m_small},{r}) > beta({m_big},{r}) + {tol:g}")
+                        f"beta({m_small},{r}) > beta({m_big},{r}) + {MONOTONE_TOL:g}")
         return tuple(problems)
 
 

@@ -78,8 +78,7 @@ def _gauge_battery(gauge: GaugeSpec, seed: int) -> dict:
     """Axiom and duality checks on seeded matrices; returns failure counts."""
     rng = np.random.default_rng(seed)
     failures = dict.fromkeys(_FAILURE_KINDS, 0)
-    back = conjugate_gauge(conjugate_gauge(gauge))
-    if (back.family, back.p, back.k) != (gauge.family, gauge.p, gauge.k):
+    if conjugate_gauge(conjugate_gauge(gauge)) != gauge:
         failures["involution"] = 1
     dual = conjugate_gauge(gauge)
     for i in range(_CHECK_SAMPLES):

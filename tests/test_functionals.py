@@ -182,8 +182,6 @@ def test_singular_depth_validation():
     ts = coordinate_tail_states(range(4, 16))
     with pytest.raises(ValueError):
         eval_singular_part(ts, np.eye(8))  # windows outrun the matrix
-    with pytest.raises(ValueError):
-        eval_singular_part(ts, np.eye(20), depth=0)
 
 
 # ------------------------------------------------------ whole functionals

@@ -5,6 +5,7 @@ import pytest
 
 from commlab import (
     FunctionalSpec,
+    GaugeSpec,
     NotConverged,
     OperatorModelSpec,
     SampleSpec,
@@ -107,13 +108,16 @@ def test_recover_mixed_splits_the_value():
 
 def test_recover_reports_sequence_on_failure():
     tau = lap()
-    sched = build_schedule(tau, G2, WINDOWS)
+    sched = build_schedule(tau, G2, WINDOWS[:5])
+    # a schedule on the first five windows is the first five steps of the full one
+    full = build_schedule(tau, G2, WINDOWS)
+    assert all(np.array_equal(a.block, b.block) for a, b in zip(sched.steps, full.steps[:5]))
     phi = FunctionalSpec(trace_part=TracePart(
         x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2))
     rng = np.random.default_rng(64)
     s = hermitian(rng, DIM)
     with pytest.raises(NotConverged) as err:
-        recover_ac_part(phi, sched, tau, s, depth=5)
+        recover_ac_part(phi, sched, tau, s)
     assert len(err.value.sequence) == 5
 
 
@@ -124,8 +128,6 @@ def test_recover_dimension_checks():
         x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2))
     with pytest.raises(ValueError):
         recover_ac_part(phi, sched, tau, np.eye(12))
-    with pytest.raises(ValueError):
-        recover_ac_part(phi, sched, tau, np.eye(DIM), depth=0)
     # a schedule built on a tuple of another dimension
     other = build_schedule(lap(DIM + 8), G2, WINDOWS)
     with pytest.raises(ValueError):
@@ -202,6 +204,21 @@ def test_bound_input_validation():
     # a unit built on a tuple of another dimension
     with pytest.raises(ValueError):
         recovery_error_bound(tp, tau, G2, ramp_unit(lap(40), 4, 12), np.eye(32))
+
+
+def test_gauges_equal_by_value_so_a_relabelled_trace_part_is_bounded():
+    assert conjugate_gauge(schatten(1)) == sup_gauge()  # differ only in notes
+    assert conjugate_gauge(conjugate_gauge(sup_gauge())) == sup_gauge()
+    assert hash(conjugate_gauge(schatten(1))) == hash(sup_gauge())
+    labelled = GaugeSpec("schatten", p=2.0, label="p2")
+    assert labelled == G2 and labelled != schatten(3)
+    rng = np.random.default_rng(70)
+    tau = lap(32)
+    unit = ramp_unit(tau, 4, 12)
+    x, y0, y1 = (random_block(rng, 4) for _ in range(3))
+    s = hermitian(rng, 32)
+    got = recovery_error_bound(TracePart(x=x, ys=(y0, y1), gauge=labelled), tau, G2, unit, s)
+    assert got == recovery_error_bound(TracePart(x=x, ys=(y0, y1), gauge=G2), tau, G2, unit, s)
 
 
 # ------------------------------------- corner terms against dense products
@@ -443,10 +460,10 @@ def test_decompose_trace_only_additivity():
 def test_decompose_flags_nonconvergence():
     rng = np.random.default_rng(76)
     tau = lap()
-    sched = build_schedule(tau, G2, WINDOWS)
+    sched = build_schedule(tau, G2, WINDOWS[:5])
     phi = FunctionalSpec(trace_part=random_trace_part(rng))
     ops = sample_ops(tau, seed=77, count=3)
-    report = decompose(phi, sched, tau, G2, ops, depth=5)
+    report = decompose(phi, sched, tau, G2, ops)
     assert report.status == "failed"
     assert any("did not converge" in d for d in report.diagnostics)
     assert any(rec.limit is None for rec in report.per_s)

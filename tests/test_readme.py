@@ -1,8 +1,11 @@
-"""The README's library quick start and its config run as documented."""
+"""The documented surface: the README's library quick start and its config
+run as documented, and `commlab.__all__` names exactly the public bindings."""
 
 import re
+import types
 from pathlib import Path
 
+import commlab
 from commlab.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -22,3 +25,12 @@ def test_readme_config_passes_every_stage(tmp_path):
     cfg.write_text(_block("json"), encoding="utf-8")
     for stage in ("gauge-check", "k-estimate", "schedule", "decompose"):
         assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+
+def test_all_is_sorted_and_names_every_public_binding():
+    names = commlab.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    public = {name for name, value in vars(commlab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == public
