@@ -236,7 +236,8 @@ def _tail(t: dict, path, dimension: int) -> TailStateSpec:
                                  for lo, hi in t["windows"])
     if "rule" in kwargs:
         kwargs["limit_rule"] = kwargs.pop("rule")
-    return _make(TailStateSpec, path, kwargs)
+    return _make(TailStateSpec, path, kwargs,
+                 lambda err: "states" if "state" in err else "windows")
 
 
 def _functional(f: dict, path, index: int, n_ops: int, gauge: GaugeSpec,

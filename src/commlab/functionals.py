@@ -158,6 +158,8 @@ class TailStateSpec:
             raise ValueError(f"unknown limit rule {self.limit_rule!r}")
         windows = tuple((int(lo), int(hi)) for lo, hi in self.windows)
         states = tuple(_as_block(rho) for rho in self.states)
+        if not windows:
+            raise ValueError("windows must not be empty")
         if len(windows) != len(states):
             raise ValueError("windows and states must have matching lengths")
         prev_lo = 0
@@ -243,26 +245,6 @@ def combine(*terms) -> FunctionalCombo:
         else:
             flat.append((complex(coeff), phi))
     return FunctionalCombo(terms=tuple(flat))
-
-
-def combined_trace_part(phi, tau: HermitianTuple) -> TracePart:
-    """The (exactly combined) trace part of a functional or combination."""
-    if isinstance(phi, FunctionalSpec):
-        return phi.trace_part if phi.trace_part is not None \
-            else TracePart.zero(tau.n, schatten(2.0))
-    parts = [(c, t.trace_part) for c, t in phi.terms if t.trace_part is not None]
-    if not parts:
-        raise ValueError("combination has no trace part")
-    gauge = parts[0][1].gauge
-    sx = max(p.x.shape[0] for _, p in parts)
-    sys = [max(p.ys[j].shape[0] for _, p in parts) for j in range(tau.n)]
-    x = np.zeros((sx, sx), dtype=np.complex128)
-    ys = [np.zeros((s, s), dtype=np.complex128) for s in sys]
-    for c, p in parts:
-        x[:p.x.shape[0], :p.x.shape[0]] += c * p.x
-        for j, y in enumerate(p.ys):
-            ys[j][:y.shape[0], :y.shape[0]] += c * y
-    return TracePart(x=x, ys=tuple(ys), gauge=gauge)
 
 
 def eval_functional(phi, tau: HermitianTuple, s) -> complex:

@@ -18,7 +18,6 @@ from .functionals import (
     NotConverged,
     TracePart,
     combine,
-    combined_trace_part,
     detect_limit,
     eval_functional,
     eval_trace_part,
@@ -28,8 +27,7 @@ from .functionals import (
 )
 from .gauges import (GaugeSpec, conjugate_gauge, diagonal_or_none, gauge_norm, gauge_value,
                      operator_norm)
-from .idealops import (HermitianTuple, commutator_tuple, corner_commutators, e_norm_max,
-                       embed, tuple_gauge_norm)
+from .idealops import HermitianTuple, commutator_tuple, corner_commutators, embed, tuple_gauge_norm
 from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
@@ -57,20 +55,24 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s) -> Reco
     rule shared with tail states.  To recover along fewer steps, pass a
     schedule built on fewer windows.
 
-    Raises NotConverged (carrying the sequence) when no limit settles.
+    Raises NotConverged carrying the recovery values: all of them when no
+    limit settles, those before the step when phi fails to converge there.
     """
     sm = np.asarray(s)
     if sm.shape != (tau.dimension, tau.dimension):
         raise ValueError("operand dimension does not match the tuple")
     read = rows_read(phi, tau)
     values = []
-    for unit in schedule.steps:
+    for k, unit in enumerate(schedule.steps, start=1):
         if unit.dimension != tau.dimension:
             raise ValueError("schedule dimension does not match the tuple")
         rows = read[read < unit.cap_r]
         product = np.zeros(sm.shape, dtype=np.result_type(unit.block, sm))
         product[rows] = unit.block[rows] @ sm[:unit.cap_r]
-        values.append(eval_functional(phi, tau, product))
+        try:
+            values.append(eval_functional(phi, tau, product))
+        except NotConverged as err:
+            raise NotConverged(f"step {k}: {err}", values) from None
     limit = detect_limit(values, rule="plain", tol=1e-9)
     return RecoveryResult(sequence=tuple(values), limit=limit)
 
@@ -191,10 +193,7 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     raising.  Each operator's norm is the one its TestOperator carries, not
     taken again.
     """
-    tp = combined_trace_part(phi, tau)
-    if tp.gauge != gauge and not tp.x.size and not any(y.size for y in tp.ys):
-        # a zero trace part carries no gauge content; align it with the caller
-        tp = TracePart(x=tp.x, ys=tp.ys, gauge=gauge)
+    tp = phi.trace_part if phi.trace_part is not None else TracePart.zero(tau.n, gauge)
     diagnostics: list[str] = []
     records: list[RecoveryRecord] = []
     limits: dict[str, complex] = {}
@@ -297,41 +296,29 @@ class ProjectionReport:
 def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
                      gauge: GaugeSpec, test_set: tuple[TestOperator, ...],
                      coeffs: tuple[float, float] = (2.0, -1.0)) -> ProjectionReport:
-    """Check idempotence and linearity of the recovery map on a family.
+    """Check idempotence, linearity and the norm sandwich of the recovery map.
 
-    Per functional: recover once, rebuild a trace-only functional from the
-    recovered part, recover again, and record the largest value change.
-    Consecutive pairs are combined with `coeffs` and the combination's
-    recovery is compared with the matching combination of individual
-    recoveries.  NotConverged propagates; these checks assume convergence.
+    Each FunctionalSpec is decomposed once: its report gives the first-pass
+    limits, the idempotence gap, and the additivity gap, how far the sampled
+    norm lower bound exceeds the split upper bound.  Consecutive pairs are
+    combined with `coeffs`, and the combination's recovery is compared with
+    the matching combination of first-pass limits.  Raises NotConverged when
+    a first-pass recovery does not settle; these checks assume convergence.
     """
     phis = list(phis)
-    e_norms = {op.op_id: e_norm_max(tau, gauge, op.matrix) for op in test_set}
-    first: list[dict[str, complex]] = []
-    idem: list[float] = []
-    addit: list[float] = []
+    first, idem, addit = [], [], []
     for phi in phis:
-        lim: dict[str, complex] = {}
-        for op in test_set:
-            lim[op.op_id] = recover_ac_part(phi, schedule, tau, op.matrix).limit
-        first.append(lim)
-
-        tp = combined_trace_part(phi, tau)
-        trace_only = FunctionalSpec(trace_part=tp, label="second-pass")
-        gap = 0.0
-        for op in test_set:
-            again = recover_ac_part(trace_only, schedule, tau, op.matrix)
-            gap = max(gap, abs(again.limit - lim[op.op_id]))
-        idem.append(float(gap))
-
-        x1, ysum = trace_part_norms(tp, gauge)
-        upper = x1 + ysum + (1.0 if getattr(phi, "singular_part", None) is not None else 0.0)
-        (lower,), _ = sampled_lower(lambda s: eval_functional(phi, tau, s), test_set,
-                                    (lambda op: e_norms[op.op_id],))
-        addit.append(float(max(0.0, lower - upper)))
+        report = decompose(phi, schedule, tau, gauge, test_set)
+        for rec in report.per_s:
+            if rec.limit is None:
+                raise NotConverged(f"{rec.s_id}: recovery did not converge", rec.sequence)
+        first.append({rec.s_id: rec.limit for rec in report.per_s})
+        idem.append(report.idempotence_gap)
+        add = report.additivity
+        addit.append(max(0.0, add.lower - (add.upper_trace + add.upper_tail)))
 
     alpha, beta = coeffs
-    lin: list[float] = []
+    lin = []
     for i in range(0, len(phis) - 1, 2):
         combo = combine((alpha, phis[i]), (beta, phis[i + 1]))
         gap = 0.0

@@ -1,6 +1,7 @@
 """Config validation, the pipeline runner, artifact formats, and exit codes."""
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
@@ -186,6 +187,10 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("gauge-check",
      lambda c: c["functionals"][0]["singular_part"].update(windows=[[17, 17], [18, 3]]),
      "functionals[0].singular_part.windows[1]"),
+    ("decompose", lambda c: c["functionals"][0]["singular_part"].update(windows=[]),
+     "functionals[0].singular_part.windows"),
+    ("decompose", lambda c: c["functionals"][0]["singular_part"].update(states=[[[1.0]]]),
+     "functionals[0].singular_part.states"),
     ("gauge-check", lambda c: c["model"].update(parameters=[1.0, 0]), "model"),
     ("gauge-check", lambda c: c.update(model={"name": "diagonal-grid", "parameters": [0]}),
      "model"),
@@ -198,7 +203,8 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("k-estimate", lambda c: c["solver"].update(step_scale=0.0), "solver.step_scale"),
     ("k-estimate", lambda c: c["solver"].update(stop_tolerance=-1.0),
      "solver.stop_tolerance"),
-], ids=["tail-window-start-after-end", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
+], ids=["tail-window-start-after-end", "empty-tail-windows", "tail-states-count",
+        "lap-pos-zero-grid", "diagonal-grid-zero-steps",
         "removed-step-rule", "dimension-beyond-memory", "diagonals-beyond-memory",
         "zero-step-scale", "negative-stop-tolerance"])
 def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
@@ -250,23 +256,27 @@ def test_cli_refuses_a_missing_required_key(tmp_path, capsys, section, key):
     assert f"config error: {section}.{key}: required" in _refusal(tmp_path, capsys, cfg)
 
 
-@pytest.mark.parametrize("stage, edit, stem, diagnostic", [
+@pytest.mark.parametrize("stage, edit, stem, diagnostic, warning", [
     ("decompose", lambda c: c["windows"].update(schedule=[[1, 2], [1, 3], [1, 4]]),
-     "decomposition", ""),
+     "decomposition", "", None),
     ("decompose", lambda c: c["windows"].update(schedule=[[2, 4], [1, 6]]), "decomposition",
-     ""),
-    ("k-estimate", lambda c: c["model"].update(parameters=[1e308, 400]), "k_estimate", ""),
-    # the first non-finite value in sorted-key order is named by its path
+     "", None),
+    ("k-estimate", lambda c: c["model"].update(parameters=[1e308, 400]), "k_estimate", "",
+     None),
+    # Tr(X S) with entries of 1e308 is beyond the float range; the first non-finite
+    # value in sorted-key order is then named by its path
     ("decompose", lambda c: c["functionals"][0]["trace_part"].update(
         x=[[1e308, 1e308], [1e308, 1e308]]), "decomposition",
-     "reports[0].additivity.lower: "),
+     "reports[0].additivity.lower: ", "overflow encountered in reduce"),
 ], ids=["march-condition", "decreasing-floors", "entries-overflow", "inf-in-artifact"])
 def test_cli_numerical_failure_is_a_failed_stage(tmp_path, capsys, stage, edit, stem,
-                                                 diagnostic):
+                                                 diagnostic, warning):
     cfg = copy.deepcopy(BASE)
     edit(cfg)
     out = tmp_path / "o"
-    code = run_cli(stage, "--config", write_config(tmp_path, cfg), "--out", str(out))
+    with (pytest.warns(RuntimeWarning, match=warning) if warning
+          else contextlib.nullcontext()):
+        code = run_cli(stage, "--config", write_config(tmp_path, cfg), "--out", str(out))
     captured = capsys.readouterr()
     assert code == 1
     assert f"{stage}: FAIL" in captured.out

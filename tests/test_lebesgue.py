@@ -121,6 +121,26 @@ def test_recover_reports_sequence_on_failure():
     assert len(err.value.sequence) == 5
 
 
+def test_recover_failing_step_carries_the_recovery_values():
+    # the tail windows 30..38 lie under the sixth cap (44), whose ramp falls along
+    # them, so the singular part first fails to converge at step 6
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phi = FunctionalSpec(
+        trace_part=TracePart(x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2),
+        singular_part=coordinate_tail_states(range(30, 39)))
+    with pytest.raises(NotConverged, match="step 6") as err:
+        recover_ac_part(phi, sched, tau, np.eye(DIM))
+    assert err.value.sequence == (1.0,) * 5
+
+    report = decompose(phi, sched, tau, G2, sample_ops(tau, seed=65, count=3))
+    assert report.status == "failed"
+    assert report.per_s[0].s_id == "identity"
+    assert report.per_s[0].sequence == (1.0,) * 5
+    for rec in report.per_s:
+        assert len(rec.sequence) == len(rec.gaps) <= len(rec.bounds)
+
+
 def test_recover_dimension_checks():
     tau = lap()
     sched = build_schedule(tau, G2, WINDOWS)
@@ -493,6 +513,16 @@ def test_projection_singular_only_recovers_zero():
     report = projection_check([phi, phi], sched, tau, G2, ops)
     assert all(g <= 1e-12 for g in report.idempotence_gaps)
     assert all(g <= 1e-8 for g in report.linearity_gaps)
+
+
+def test_projection_check_raises_when_recovery_does_not_settle():
+    rng = np.random.default_rng(80)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS[:5])
+    phi = FunctionalSpec(trace_part=random_trace_part(rng))
+    ops = sample_ops(tau, seed=77, count=3)
+    with pytest.raises(NotConverged):
+        projection_check([phi, phi], sched, tau, G2, ops)
 
 
 def test_projection_trace_only_fixed_point():

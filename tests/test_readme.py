@@ -1,9 +1,12 @@
 """The documented surface: the README's library quick start and its config
 run as documented, and `commlab.__all__` names exactly the public bindings."""
 
+import json
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import commlab
 from commlab.cli import main
@@ -25,6 +28,16 @@ def test_readme_config_passes_every_stage(tmp_path):
     cfg.write_text(_block("json"), encoding="utf-8")
     for stage in ("gauge-check", "k-estimate", "schedule", "decompose"):
         assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("p", [4.0, 3.3, 6.0, 7.0, 9.9])
+def test_readme_config_gauge_check_passes_where_p_round_trips_inexactly(tmp_path, p):
+    # p -> p/(p-1) -> p gives 4.000000000000001 for p = 4, and the like for the others
+    config = json.loads(_block("json"))
+    config["gauges"] = [{"family": "schatten", "p": p}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["gauge-check", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
 
 
 def test_all_is_sorted_and_names_every_public_binding():
