@@ -4,7 +4,7 @@ A single JSON document drives the pipeline.  Parsing and validation are
 strict: unknown keys are rejected and every error names the offending field
 by its dotted path, so a bad config fails fast and legibly.  Each section is
 one table from its keys to their parsers; an absent key takes the default of
-the dataclass that receives the section.
+the dataclass or solver argument that receives it.
 
 Shape (entries marked * are required):
 
@@ -44,7 +44,6 @@ import numpy as np
 from .functionals import FunctionalSpec, TailStateSpec, TracePart
 from .gauges import GaugeSpec
 from .idealops import OperatorModelSpec, instantiate_model
-from .qau import SolverParams
 from .sampling import KINDS, SampleSpec
 
 FORMATS = ("json", "csv")
@@ -217,7 +216,7 @@ _TEST_SET = {"count": _int(0), "kinds": _items(_choice(KINDS)), "support": _int(
              "bandwidth": _int(0)}
 _OUTPUTS = {"formats": _items(_choice(FORMATS))}
 _TOP = {"seed": _int(0), "model": _model, "dimension": _int(2), "gauges": _items(_gauge),
-        "solver": lambda value, path: SolverParams(**_section(value, path, _SOLVER)),
+        "solver": partial(_section, fields=_SOLVER),
         "windows": partial(_section, fields=_WINDOWS),
         "functionals": _items(partial(_section, fields=_FUNCTIONAL)),
         "test_set": partial(_section, fields=_TEST_SET),
@@ -270,7 +269,7 @@ class ExperimentConfig:
     model: OperatorModelSpec
     dimension: int
     gauges: tuple[GaugeSpec, ...]
-    solver: SolverParams
+    max_iterations: int
     floors: tuple[int, ...]
     caps: tuple[int, ...]
     schedule_windows: tuple[tuple[int, int], ...]
@@ -317,7 +316,7 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError("outputs.formats", "at least one format is required")
 
     return ExperimentConfig(seed=top["seed"], model=model, dimension=dimension, gauges=gauges,
-                            solver=top.get("solver", SolverParams()),
+                            max_iterations=top.get("solver", {}).get("max_iterations", 2000),
                             floors=windows.get("floors", ()), caps=caps,
                             schedule_windows=schedule, schedule_mode=windows.get("mode", "ramp"),
                             functionals=functionals, sample=sample, formats=formats)

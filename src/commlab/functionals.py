@@ -20,8 +20,8 @@ import numpy as np
 
 from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, norm_value_and_subgradient,
                      schatten)
-from .idealops import HermitianTuple, band_commutator, e_norm_max, e_norm_sum, embed
-from .sampling import SampleSpec, generate_test_set
+from .idealops import HermitianTuple, band_commutator, embed
+from .sampling import SampleSpec, TestOperator, generate_test_set
 
 _TRACE_NORM = schatten(1.0)
 DETECTION_RUN = 5
@@ -288,25 +288,33 @@ def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, float]:
     return float(x1), float(ysum)
 
 
-def sampled_lower(evaluate, test_ops, norms) -> tuple[list[float], int]:
-    """Per norm, the largest |evaluate(op.matrix)| / norm(op) over the test set.
+def eval_or_none(phi, tau: HermitianTuple, s) -> complex | None:
+    """eval_functional, or None where it raises NotConverged."""
+    try:
+        return eval_functional(phi, tau, s)
+    except NotConverged:
+        return None
 
-    Operators whose evaluation raises NotConverged are skipped and counted;
-    a norm at or below 1e-14 contributes nothing.  Returns (lowers, skipped).
+
+def sampled_lower(values, test_ops: tuple[TestOperator, ...]) -> tuple[float, float, int]:
+    """The largest |value| / norm over the test set, for the max-form and the sum-form norm.
+
+    `values[i]` is the functional at `test_ops[i]`, or None where its
+    evaluation raised NotConverged: that operator is skipped and counted.
+    Both norms come from the halves each TestOperator carries; a norm at or
+    below 1e-14 contributes nothing.  Returns (lower, lower_alt, skipped).
     """
-    lowers = [0.0] * len(norms)
+    lowers = [0.0, 0.0]
     skipped = 0
-    for op in test_ops:
-        try:
-            value = abs(evaluate(op.matrix))
-        except NotConverged:
+    for value, op in zip(values, test_ops, strict=True):
+        if value is None:
             skipped += 1
             continue
-        for i, norm in enumerate(norms):
-            scale = norm(op)
-            if scale > 1e-14:
-                lowers[i] = max(lowers[i], value / scale)
-    return lowers, skipped
+        s_norm, c_norm = op.operator_norm, op.commutator_norm
+        for i, norm in enumerate((max(s_norm, c_norm), s_norm + c_norm)):
+            if norm > 1e-14:
+                lowers[i] = max(lowers[i], abs(value) / norm)
+    return lowers[0], lowers[1], skipped
 
 
 @dataclass(frozen=True)
@@ -335,10 +343,8 @@ def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: Gaug
     upper_alt = max(x1 + singular, ysum)
 
     ops = generate_test_set(sample_spec, tau, gauge)
-    (lower, lower_alt), skipped = sampled_lower(
-        lambda s: eval_functional(phi, tau, s), ops,
-        (lambda op: e_norm_max(tau, gauge, op.matrix),
-         lambda op: e_norm_sum(tau, gauge, op.matrix)))
+    lower, lower_alt, skipped = sampled_lower(
+        [eval_or_none(phi, tau, op.matrix) for op in ops], ops)
     return NormBounds(lower=lower, upper=upper, lower_alt=lower_alt,
                       upper_alt=upper_alt, skipped=skipped, samples=len(ops))
 
@@ -414,7 +420,6 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         if best <= 1e-14:
             break
 
-    (lower,), _ = sampled_lower(lambda s: eval_trace_part(tp, tau, s),
-                                generate_test_set(sample_spec, tau, gauge),
-                                (lambda op: e_norm_max(tau, gauge, op.matrix),))
+    ops = generate_test_set(sample_spec, tau, gauge)
+    lower, _, _ = sampled_lower([eval_trace_part(tp, tau, op.matrix) for op in ops], ops)
     return QuotientBounds(lower=float(lower), upper=float(best), iterations=iterations)

@@ -20,6 +20,7 @@ from .functionals import (
     combine,
     detect_limit,
     eval_functional,
+    eval_or_none,
     eval_trace_part,
     rows_read,
     sampled_lower,
@@ -27,7 +28,7 @@ from .functionals import (
 )
 from .gauges import (GaugeSpec, conjugate_gauge, diagonal_or_none, gauge_norm, gauge_value,
                      operator_norm)
-from .idealops import HermitianTuple, commutator_tuple, corner_commutators, embed, tuple_gauge_norm
+from .idealops import HermitianTuple, commutator_tuple, corner_commutators, embed
 from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
@@ -184,102 +185,86 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
               schedule_id: str = "schedule-0") -> DecompositionReport:
     """Recover the trace part of phi on a test set, with certificates.
 
-    For every test operator the report records the recovery sequence along
-    every schedule step, its limit, the per-step error bounds, and whether
-    the measured gaps stay under the bounds.  Residuals of (phi - recovered
-    part) are checked on the finitely supported members, and the sampled
-    norm lower bound is compared against the sum of the split upper bounds.
-    Any NotConverged marks the report failed with diagnostics instead of
-    raising.  Each operator's norm is the one its TestOperator carries, not
-    taken again.
+    One pass over the test set.  For every test operator the report records
+    the recovery sequence along every schedule step, its limit, the per-step
+    error bounds, and whether the measured gaps stay under the bounds; one
+    direct evaluation of phi gives both the residual of (phi - recovered
+    part), checked on the finitely supported members, and the operator's
+    sample of the norm lower bound; a second recovery through the trace part
+    alone gives the idempotence gap.  The sampled lower bound is compared
+    against the sum of the split upper bounds.  A NotConverged is recorded as
+    a diagnostic instead of raised; the report fails exactly when it has
+    diagnostics, listed per operator in test-set order, the additivity one
+    last.  Each operator's norms are the ones its TestOperator carries.
     """
     tp = phi.trace_part if phi.trace_part is not None else TracePart.zero(tau.n, gauge)
+    trace_only = FunctionalSpec(trace_part=tp, label=f"{phi.label or 'phi'}-trace")
     diagnostics: list[str] = []
     records: list[RecoveryRecord] = []
-    limits: dict[str, complex] = {}
-    e_norms: dict[str, float] = {}  # e_norm_max of each operator, for the additivity check
-    failed = False
+    residuals: list[tuple[str, float]] = []
+    directs: list[complex | None] = []
+    idem_gap = 0.0
 
     unit_norms = [unit_commutator_norms(tau, gauge, unit) for unit in schedule.steps]
     for op in test_set:
         sm = op.matrix
         target = eval_trace_part(tp, tau, sm)
-        s_norm = op.operator_norm
         s_comms = commutator_tuple(tau, sm)
-        e_norms[op.op_id] = max(s_norm, tuple_gauge_norm(s_comms, gauge))
         bounds = tuple(
-            recovery_error_bound(tp, tau, gauge, unit, sm, s_norm=s_norm,
+            recovery_error_bound(tp, tau, gauge, unit, sm, s_norm=op.operator_norm,
                                  s_commutators=s_comms, unit_norms=norms)
             for unit, norms in zip(schedule.steps, unit_norms))
         try:
             rec = recover_ac_part(phi, schedule, tau, sm)
             seq, limit = rec.sequence, rec.limit
         except NotConverged as err:
-            failed = True
-            diagnostics.append(f"{op.op_id}: recovery did not converge")
-            seq, limit = tuple(err.sequence), None
+            diagnostics.append(f"{op.op_id}: recovery did not converge: {err}")
+            seq, limit = err.sequence, None
         gaps = tuple(abs(target - v) for v in seq)
         sound = all(g <= b + SOUNDNESS_TOL for g, b in zip(gaps, bounds))
-        if limit is not None:
-            limits[op.op_id] = limit
-            if not sound:
-                failed = True
-                diagnostics.append(f"{op.op_id}: gap exceeds certified bound")
         records.append(RecoveryRecord(s_id=op.op_id, sequence=seq, limit=limit,
                                       bounds=bounds, gaps=gaps, sound=sound))
 
-    residuals = []
-    for op in test_set:
-        if not op.finitely_supported or op.op_id not in limits:
+        direct = eval_or_none(phi, tau, sm)
+        directs.append(direct)
+        if limit is None:
             continue
+        if not sound:
+            diagnostics.append(f"{op.op_id}: gap exceeds certified bound")
+        if op.finitely_supported:
+            if direct is None:
+                diagnostics.append(f"{op.op_id}: direct evaluation did not converge")
+            else:
+                gap = abs(direct - limit)
+                residuals.append((op.op_id, float(gap)))
+                if gap > RESIDUAL_TOL:
+                    diagnostics.append(f"{op.op_id}: residual {gap:.3e} above tolerance")
         try:
-            direct = eval_functional(phi, tau, op.matrix)
+            again = recover_ac_part(trace_only, schedule, tau, sm)
         except NotConverged:
-            failed = True
-            diagnostics.append(f"{op.op_id}: direct evaluation did not converge")
-            continue
-        gap = abs(direct - limits[op.op_id])
-        residuals.append((op.op_id, float(gap)))
-        if gap > RESIDUAL_TOL:
-            failed = True
-            diagnostics.append(f"{op.op_id}: residual {gap:.3e} above tolerance")
+            diagnostics.append(f"{op.op_id}: second-pass recovery did not converge")
+        else:
+            idem_gap = max(idem_gap, abs(again.limit - limit))
 
     x1, ysum = trace_part_norms(tp, gauge)
     upper_trace = x1 + ysum
     upper_tail = 1.0 if phi.singular_part is not None else 0.0
-    (lower,), skipped = sampled_lower(lambda s: eval_functional(phi, tau, s),
-                                      test_set, (lambda op: e_norms[op.op_id],))
+    lower, _, skipped = sampled_lower(directs, test_set)
     add_ok = lower <= upper_trace + upper_tail + ADDITIVITY_SLACK
     if not add_ok:
-        failed = True
         diagnostics.append(
             f"norm lower bound {lower:.6e} exceeds split upper "
             f"{upper_trace + upper_tail:.6e}")
-    additivity = AdditivityRecord(lower=lower, upper_trace=upper_trace,
-                                  upper_tail=upper_tail, skipped=skipped,
-                                  ok=add_ok)
-
-    idem_gap = 0.0
-    trace_only = FunctionalSpec(trace_part=tp, label=f"{phi.label or 'phi'}-trace")
-    for op in test_set:
-        if op.op_id not in limits:
-            continue
-        try:
-            again = recover_ac_part(trace_only, schedule, tau, op.matrix)
-        except NotConverged:
-            failed = True
-            diagnostics.append(f"{op.op_id}: second-pass recovery did not converge")
-            continue
-        idem_gap = max(idem_gap, abs(again.limit - limits[op.op_id]))
 
     return DecompositionReport(
         phi_id=phi_id if phi_id is not None else (phi.label or "phi-0"),
         schedule_id=schedule_id,
         per_s=tuple(records),
         residuals=tuple(residuals),
-        additivity=additivity,
+        additivity=AdditivityRecord(lower=lower, upper_trace=upper_trace,
+                                    upper_tail=upper_tail, skipped=skipped, ok=add_ok),
         idempotence_gap=float(idem_gap),
-        status="failed" if failed else "ok",
+        status="failed" if diagnostics else "ok",
         diagnostics=tuple(diagnostics),
     )
 

@@ -40,13 +40,9 @@ STOP_TOLERANCE = 1e-8
 PATIENCE = 50
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    max_iterations: int = 2000
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations out of range: {self.max_iterations!r}")
+def _check_iterations(max_iterations: int) -> None:
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations out of range: {max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -167,13 +163,13 @@ class OptimizeResult:
 
 
 def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: int,
-                  params: SolverParams | None = None) -> OptimizeResult:
+                  max_iterations: int = 2000) -> OptimizeResult:
     """Minimize max_j |[T_j, A]|_gauge over the window's feasible units.
 
     Projected subgradient descent from the ramp (never accepting an ascent:
     the best feasible iterate is tracked and returned).
     """
-    params = params or SolverParams()
+    _check_iterations(max_iterations)
     _validate_window(tau, floor_m, cap_r)
     dim = tau.dimension
     band = tau.bandwidth
@@ -206,7 +202,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
     stall = 0
     reference = best_value
     base_step = None
-    for it in range(1, params.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         if best_value <= STOP_TOLERANCE:
             break
         g = subgradient(norms, ks)
@@ -275,7 +271,7 @@ class KEstimateTable:
 
 
 def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
-               params: SolverParams | None = None, jobs: int = 1) -> KEstimateTable:
+               max_iterations: int = 2000, jobs: int = 1) -> KEstimateTable:
     """Table of beta(m, r) over a floor/cap grid with its summary estimate.
 
     Cells are solved independently (in parallel when jobs > 1, largest cap
@@ -284,7 +280,7 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
     cap grows, so each cell reports the best certified value available to
     it.  The summary is max over floors of the min over caps.
     """
-    params = params or SolverParams()
+    _check_iterations(max_iterations)
     floors = tuple(sorted(int(m) for m in floors))
     caps = tuple(sorted(int(r) for r in caps))
     if not floors or not caps:
@@ -298,7 +294,7 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
     pairs = [(m, r) for m in floors for r in caps]
 
     def solve(pair):
-        return optimize_unit(tau, gauge, *pair, params)
+        return optimize_unit(tau, gauge, *pair, max_iterations)
 
     if jobs > 1:
         # largest cap first: the costliest cells must not be left to finish last
@@ -351,7 +347,7 @@ def _check_monotone_steps(steps):
 
 def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
                    mode: str = "ramp",
-                   params: SolverParams | None = None) -> UnitSchedule:
+                   max_iterations: int = 2000) -> UnitSchedule:
     """A monotone sequence of units over nested windows, with commutator norms.
 
     Windows are (floor, cap) pairs with nondecreasing floors, strictly
@@ -361,6 +357,7 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
     optimizer per window and projects each unit onto the cone above its
     predecessor, re-certifying afterwards.
     """
+    _check_iterations(max_iterations)
     windows = [(int(m), int(r)) for m, r in windows]
     if not windows:
         raise ValueError("schedule needs at least one window")
@@ -383,7 +380,7 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
     elif mode == "optimized-then-monotonized":
         steps = []
         for m, r in windows:
-            unit = optimize_unit(tau, gauge, m, r, params).unit
+            unit = optimize_unit(tau, gauge, m, r, max_iterations).unit
             if steps:
                 prev = steps[-1]
                 block = np.array(unit.block, dtype=tau.dtype)

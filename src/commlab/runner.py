@@ -148,7 +148,7 @@ def stage_k_estimate(config: ExperimentConfig, jobs: int = 1) -> dict:
         if not getattr(config, key):
             raise ConfigError(f"windows.{key}", "required for the k-estimate stage")
     table = k_estimate(config.instantiate(), config.primary_gauge, config.floors,
-                       config.caps, params=config.solver, jobs=jobs)
+                       config.caps, max_iterations=config.max_iterations, jobs=jobs)
     violations = list(table.monotonicity_violations())
     return {
         **_tuple_header(config),
@@ -167,7 +167,7 @@ def _build_configured_schedule(config: ExperimentConfig, tau: HermitianTuple) ->
     if not config.schedule_windows:
         raise ConfigError("windows.schedule", "required for this stage")
     return build_schedule(tau, config.primary_gauge, config.schedule_windows,
-                          mode=config.schedule_mode, params=config.solver)
+                          mode=config.schedule_mode, max_iterations=config.max_iterations)
 
 
 def stage_schedule(config: ExperimentConfig) -> dict:

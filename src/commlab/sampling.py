@@ -31,12 +31,17 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class TestOperator:
-    """A test operator with its operator norm, taken once when it was drawn."""
+    """A test operator with both halves of its norm, taken once when it was drawn.
+
+    `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge; their
+    max is the max-form norm and their sum the sum-form norm.
+    """
 
     op_id: str
     matrix: np.ndarray
     kind: str
     operator_norm: float
+    commutator_norm: float
 
     @property
     def finitely_supported(self) -> bool:
@@ -68,24 +73,26 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
     """The identity, then `count` deterministic draws at the tuple's dimension.
 
     Each nonzero draw is scaled so its max-form norm (operator norm vs
-    commutator gauge norm) is one; the identity already has norm one.  The
-    operator norm is carried as the draw's operator norm over that scale.
+    commutator gauge norm) is one; the identity already has norm one and
+    commutes with the tuple.  Both norms are carried over the same scale.
     """
     rng = np.random.default_rng(spec.seed)
     dim = tau.dimension
     eye = np.eye(dim, dtype=np.complex128)
     eye.setflags(write=False)
     ops = [TestOperator(op_id="identity", matrix=eye, kind="random-hermitian",
-                        operator_norm=1.0)]
+                        operator_norm=1.0, commutator_norm=0.0)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         m = _sample_matrix(rng, kind, dim, spec.support, spec.bandwidth)
         s_norm = operator_norm(m)
-        # e_norm_max(tau, gauge, m), keeping its operator-norm term
-        norm = max(s_norm, tuple_gauge_norm(commutator_tuple(tau, m), gauge))
+        c_norm = tuple_gauge_norm(commutator_tuple(tau, m), gauge)
+        norm = max(s_norm, c_norm)
         if norm > 1e-14:
             m = m / norm
             s_norm /= norm
+            c_norm /= norm
         m.setflags(write=False)
-        ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind, operator_norm=s_norm))
+        ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind,
+                                operator_norm=s_norm, commutator_norm=c_norm))
     return tuple(ops)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commlab
-from commlab import ConfigError, SolverParams, parse_config, runner
+from commlab import ConfigError, parse_config, runner
 from commlab.cli import build_parser, main
 
 SCHEMA_DIR = Path(commlab.__file__).parent / "schemas"
@@ -123,7 +123,7 @@ def test_minimal_config_takes_the_dataclass_defaults():
         "gauges": [{"family": "sup"}],
         "functionals": [{"singular_part": {"windows": [[p, p] for p in range(9, 16)]}}],
     })
-    assert config.solver == SolverParams()
+    assert config.max_iterations == 2000
     assert config.sample.count == 6
     assert config.schedule_mode == "ramp"
     tail = config.functionals[0].singular_part

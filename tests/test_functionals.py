@@ -427,7 +427,7 @@ def test_quotient_matches_two_pass_reference(gauge, max_iterations):
         bounds = quotient_norm_bounds(pe, tau, gauge, window=window, sample_spec=spec,
                                       max_iterations=max_iterations)
         upper, iterations = two_pass_quotient(pe, tau, gauge, window, max_iterations)
-        lower = max(abs(pairing(pe, tau, op.matrix)) / e_norm_max(tau, gauge, op.matrix)
+        lower = max(abs(pairing(pe, tau, op.matrix)) / max(op.operator_norm, op.commutator_norm)
                     for op in ops)
         assert bounds.lower == lower
         assert bounds.iterations == iterations

@@ -9,7 +9,6 @@ from commlab import (
     NotConverged,
     OperatorModelSpec,
     SampleSpec,
-    SolverParams,
     TracePart,
     build_schedule,
     combine,
@@ -17,9 +16,12 @@ from commlab import (
     conjugate_gauge,
     coordinate_tail_states,
     decompose,
+    e_norm_max,
+    e_norm_sum,
     eval_functional,
     eval_singular_part,
     eval_trace_part,
+    functional_norm_bounds,
     gauge_norm,
     generate_test_set,
     instantiate_model,
@@ -134,6 +136,8 @@ def test_recover_failing_step_carries_the_recovery_values():
     assert err.value.sequence == (1.0,) * 5
 
     report = decompose(phi, sched, tau, G2, sample_ops(tau, seed=65, count=3))
+
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "failed"
     assert report.per_s[0].s_id == "identity"
     assert report.per_s[0].sequence == (1.0,) * 5
@@ -254,7 +258,7 @@ def corner_case():
     tau = lap(CORNER_DIM)
     schedules = [build_schedule(tau, G2, CORNER_WINDOWS),
                  build_schedule(tau, G2, CORNER_WINDOWS, mode="optimized-then-monotonized",
-                                params=SolverParams(max_iterations=40))]
+                                max_iterations=40)]
     assert any(np.count_nonzero(u.matrix - np.diag(np.diag(u.matrix)))
                for u in schedules[1].steps)
     rng = np.random.default_rng(70)
@@ -319,7 +323,7 @@ def inside_case(corner_case):
     tau, _, operands, (x, y1, y2) = corner_case
     schedules = [build_schedule(tau, G2, INSIDE_WINDOWS),
                  build_schedule(tau, G2, INSIDE_WINDOWS, mode="optimized-then-monotonized",
-                                params=SolverParams(max_iterations=40))]
+                                max_iterations=40)]
     rows = np.arange(8, 15)
     flat = []
     for s in operands:
@@ -377,6 +381,7 @@ def test_decompose_takes_no_n_sized_svd(monkeypatch):
     ops = generate_test_set(SampleSpec(seed=79, count=2, kinds=("finitely-supported", "banded")),
                             tau, G2)
     report = decompose(phi, sched, tau, G2, ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert [op.op_id for op in ops] == ["identity", "finitely-supported-0", "banded-1"]
     assert report.status == "ok"
     assert sizes and max(sizes) < dim
@@ -390,6 +395,24 @@ def test_test_set_carries_operator_norms():
     assert ops[0].operator_norm == 1.0
     for op in ops:
         assert op.operator_norm == pytest.approx(operator_norm(op.matrix), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [40, 512])
+@pytest.mark.parametrize("model", ["lap-pos", "shift-parts"])
+def test_test_set_carried_norms_match_a_recompute(model, dim):
+    # lap-pos is real, shift-parts complex; the identity and every kind
+    tau = instantiate_model(OperatorModelSpec(name=model), dim)
+    ops = generate_test_set(SampleSpec(seed=83, count=3,
+                                       kinds=("random-hermitian", "banded", "finitely-supported")),
+                            tau, G2)
+    assert [op.kind for op in ops[1:]] == ["random-hermitian", "banded", "finitely-supported"]
+    assert (ops[0].operator_norm, ops[0].commutator_norm) == (1.0, 0.0)
+    for op in ops:
+        s_norm, c_norm = op.operator_norm, op.commutator_norm
+        assert max(s_norm, c_norm) == pytest.approx(e_norm_max(tau, G2, op.matrix),
+                                                    rel=1e-12, abs=0.0)
+        assert s_norm + c_norm == pytest.approx(e_norm_sum(tau, G2, op.matrix),
+                                                rel=1e-12, abs=0.0)
 
 
 def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
@@ -409,6 +432,7 @@ def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     report = decompose(phi, sched, tau, G2, ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert [op.kind for op in ops] == ["random-hermitian"] * 3
     assert report.status == "ok"
     assert dim not in sizes
@@ -434,6 +458,7 @@ def test_decompose_mixed_functional():
                          label="mixed")
     ops = sample_ops(tau, seed=72)
     report = decompose(phi, sched, tau, G2, ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.diagnostics == ()
     for rec, op in zip(report.per_s, ops):
@@ -455,6 +480,7 @@ def test_decompose_zero_functional():
     phi = FunctionalSpec(trace_part=TracePart.zero(2, G2), label="zero")
     ops = sample_ops(tau, seed=73, count=4)
     report = decompose(phi, sched, tau, G2, ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert all(rec.limit == 0.0 for rec in report.per_s)
     assert all(v == 0.0 for rec in report.per_s for v in rec.sequence)
@@ -470,6 +496,7 @@ def test_decompose_trace_only_additivity():
     phi = FunctionalSpec(trace_part=random_trace_part(rng), label="trace-only")
     ops = sample_ops(tau, seed=75)
     report = decompose(phi, sched, tau, G2, ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.additivity.upper_tail == 0.0
     assert report.additivity.lower <= report.additivity.upper_trace + 1e-6
@@ -484,9 +511,46 @@ def test_decompose_flags_nonconvergence():
     phi = FunctionalSpec(trace_part=random_trace_part(rng))
     ops = sample_ops(tau, seed=77, count=3)
     report = decompose(phi, sched, tau, G2, ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "failed"
     assert any("did not converge" in d for d in report.diagnostics)
     assert any(rec.limit is None for rec in report.per_s)
+
+
+@pytest.mark.parametrize("windows, tail, message", [
+    # the tail windows 30..38 lie under the sixth cap, so the singular part fails at step 6
+    (WINDOWS, range(30, 39), "step 6: no stabilized tail of length 5 at tolerance 1e-09"),
+    (WINDOWS[:5], None, "need at least 6 values, got 5"),
+], ids=["tail-inside-caps", "five-windows"])
+def test_decompose_diagnostic_carries_the_not_converged_message(windows, tail, message):
+    tau = lap()
+    sched = build_schedule(tau, G2, windows)
+    phi = FunctionalSpec(
+        trace_part=TracePart(x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2),
+        singular_part=None if tail is None else coordinate_tail_states(tail))
+    report = decompose(phi, sched, tau, G2, sample_ops(tau, seed=65, count=3))
+    assert report.status == ("failed" if report.diagnostics else "ok")
+    assert report.per_s[0].limit is None
+    assert report.diagnostics[0] == f"identity: recovery did not converge: {message}"
+    failing = [rec.s_id for rec in report.per_s if rec.limit is None]
+    assert [d.split(":")[0] for d in report.diagnostics
+            if "recovery did not converge: " in d] == failing
+
+
+def test_decompose_and_norm_bounds_share_the_sampled_lower():
+    # the tail coordinates settle on the identity and on finitely supported draws,
+    # not on random-hermitian ones, which both sides skip and count
+    rng = np.random.default_rng(84)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phi = FunctionalSpec(trace_part=random_trace_part(rng),
+                         singular_part=coordinate_tail_states(TAIL_RANGE))
+    spec = SampleSpec(seed=85, count=4, kinds=("finitely-supported", "random-hermitian"))
+    report = decompose(phi, sched, tau, G2, generate_test_set(spec, tau, G2))
+    assert report.status == ("failed" if report.diagnostics else "ok")
+    bounds = functional_norm_bounds(phi, tau, G2, spec)
+    assert bounds.skipped == 2
+    assert (report.additivity.lower, report.additivity.skipped) == (bounds.lower, bounds.skipped)
 
 
 def test_decompose_aligns_gauge_for_singular_only():
@@ -495,6 +559,7 @@ def test_decompose_aligns_gauge_for_singular_only():
     phi = FunctionalSpec(singular_part=coordinate_tail_states(TAIL_RANGE))
     ops = sample_ops(tau, seed=78, count=3)
     report = decompose(phi, sched, tau, schatten(1), ops)
+    assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.additivity.upper_trace == 0.0
     assert report.additivity.upper_tail == 1.0

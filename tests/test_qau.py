@@ -7,7 +7,6 @@ from commlab import (
     HermitianTuple,
     MonotonizationError,
     OperatorModelSpec,
-    SolverParams,
     build_schedule,
     commutator_tuple,
     instantiate_model,
@@ -164,17 +163,16 @@ def test_optimizer_beats_ramp_on_lap_pos():
 
 def test_optimizer_never_worse_than_warm_start():
     tau = instantiate_model(OperatorModelSpec(name="shift-parts"), 40)
-    params = SolverParams(max_iterations=300)
     for g in [schatten(1), schatten(2), ky_fan(3)]:
         ramp_value = tuple_gauge_norm(
             commutator_tuple(tau, ramp_unit(tau, 3, 12).matrix), g)
-        res = optimize_unit(tau, g, 3, 12, params)
+        res = optimize_unit(tau, g, 3, 12, max_iterations=300)
         assert res.value <= ramp_value + 1e-8
 
 
 def test_optimizer_trace_is_monotone_in_best():
     tau = instantiate_model(LAP, 60)
-    res = optimize_unit(tau, schatten(2), 5, 20, SolverParams(max_iterations=100))
+    res = optimize_unit(tau, schatten(2), 5, 20, max_iterations=100)
     bests = [b for _, _, b in res.trace]
     assert all(b1 >= b2 for b1, b2 in zip(bests, bests[1:]))
     assert res.value == bests[-1]
@@ -192,7 +190,7 @@ def test_optimizer_moves_on_a_huge_tuple():
 def test_ramp_value_agrees_between_optimizer_and_schedule(gauge, window):
     # both take [T_j, A] on the same (cap + bandwidth) corner, so bitwise equal
     tau = instantiate_model(LAP, 512)
-    start = optimize_unit(tau, gauge, *window, SolverParams(max_iterations=0)).value
+    start = optimize_unit(tau, gauge, *window, max_iterations=0).value
     assert start == build_schedule(tau, gauge, [window]).commutator_norms[0]
 
 
@@ -229,9 +227,8 @@ def test_k_table_zero_on_commuting_model():
 
 def test_k_table_monotone_and_summary():
     tau = instantiate_model(LAP, 64)
-    params = SolverParams(max_iterations=200)
     table = k_estimate(tau, schatten(2), floors=[4, 8], caps=[12, 16, 24],
-                       params=params)
+                       max_iterations=200)
     assert table.monotonicity_violations() == ()
     beta = {(c.floor_m, c.cap_r): c.beta for c in table.cells}
     want = max(min(beta[(m, r)] for r in table.caps) for m in table.floors)
@@ -244,8 +241,7 @@ def test_k_table_monotone_and_summary():
 def test_k_table_deterministic_under_jobs(jobs):
     # more cells than workers, handed out largest cap first
     tau = instantiate_model(LAP, 48)
-    params = SolverParams(max_iterations=120)
-    grid = dict(floors=[4, 8], caps=[12, 20, 28], params=params)
+    grid = dict(floors=[4, 8], caps=[12, 20, 28], max_iterations=120)
     serial = k_estimate(tau, schatten(2), **grid)
     threaded = k_estimate(tau, schatten(2), **grid, jobs=jobs)
     assert serial.cells == threaded.cells
@@ -285,9 +281,8 @@ def test_schedule_single_window():
 @pytest.mark.parametrize("mode", ["ramp", "optimized-then-monotonized"])
 def test_schedule_steps_monotone_and_norms_consistent(mode):
     tau = instantiate_model(LAP, 40)
-    params = SolverParams(max_iterations=150)
     sched = build_schedule(tau, schatten(2), [(3, 6), (6, 12), (12, 24)],
-                           mode=mode, params=params)
+                           mode=mode, max_iterations=150)
     for prev, cur in zip(sched.steps, sched.steps[1:]):
         diff = np.asarray(cur.matrix) - np.asarray(prev.matrix)
         lam = np.linalg.eigvalsh((diff + diff.conj().T) / 2)

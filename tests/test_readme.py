@@ -1,7 +1,9 @@
 """The documented surface: the README's library quick start and its config
 run as documented, and `commlab.__all__` names exactly the public bindings."""
 
+import importlib
 import json
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -47,3 +49,29 @@ def test_all_is_sorted_and_names_every_public_binding():
     public = {name for name, value in vars(commlab).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == public
+
+
+def _code_references():
+    """Backticked CamelCase or UPPER_CASE names in the README prose, with any dotted tail."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        ref = re.fullmatch(r"([A-Z][A-Za-z0-9_]+(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span)
+        if ref:
+            yield ref.group(1)
+
+
+def test_readme_names_only_existing_classes_and_constants():
+    namespaces = [commlab] + [importlib.import_module(f"commlab.{info.name}")
+                              for info in pkgutil.iter_modules(commlab.__path__)]
+
+    def resolves(ref):
+        for obj in namespaces:
+            for part in ref.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return False
+
+    refs = sorted(set(_code_references()))
+    assert "HermitianTuple.from_matrices" in refs and "STEP_SCALE" in refs
+    assert [ref for ref in refs if not resolves(ref)] == []
