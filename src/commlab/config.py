@@ -44,6 +44,7 @@ import numpy as np
 from .functionals import FunctionalSpec, TailStateSpec, TracePart
 from .gauges import GaugeSpec
 from .idealops import OperatorModelSpec, instantiate_model
+from .qau import MAX_ITERATIONS
 from .sampling import KINDS, SampleSpec
 
 FORMATS = ("json", "csv")
@@ -315,8 +316,9 @@ def parse_config(data) -> ExperimentConfig:
     if not formats:
         raise ConfigError("outputs.formats", "at least one format is required")
 
+    iterations = top.get("solver", {}).get("max_iterations", MAX_ITERATIONS)
     return ExperimentConfig(seed=top["seed"], model=model, dimension=dimension, gauges=gauges,
-                            max_iterations=top.get("solver", {}).get("max_iterations", 2000),
+                            max_iterations=iterations,
                             floors=windows.get("floors", ()), caps=caps,
                             schedule_windows=schedule, schedule_mode=windows.get("mode", "ramp"),
                             functionals=functionals, sample=sample, formats=formats)

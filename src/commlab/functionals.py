@@ -21,6 +21,7 @@ import numpy as np
 from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, norm_value_and_subgradient,
                      schatten)
 from .idealops import HermitianTuple, band_commutator, embed
+from .qau import _check_iterations
 from .sampling import SampleSpec, TestOperator, generate_test_set
 
 _TRACE_NORM = schatten(1.0)
@@ -384,8 +385,7 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         raise ValueError(f"window {window} infeasible at dimension {tau.dimension}")
     if tp.support + tau.bandwidth > tau.dimension:
         raise ValueError("supports exceed instantiation")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations out of range: {max_iterations!r}")
+    _check_iterations(max_iterations)
     dual = conjugate_gauge(gauge)
     band = tau.bandwidth
     work = min(tau.dimension, max(window, tp.support) + band)

@@ -195,7 +195,8 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
     against the sum of the split upper bounds.  A NotConverged is recorded as
     a diagnostic instead of raised; the report fails exactly when it has
     diagnostics, listed per operator in test-set order, the additivity one
-    last.  Each operator's norms are the ones its TestOperator carries.
+    last.  The norms are those the TestOperators carry: draw the test set
+    for this tuple, in this gauge (another gauge is refused).
     """
     tp = phi.trace_part if phi.trace_part is not None else TracePart.zero(tau.n, gauge)
     trace_only = FunctionalSpec(trace_part=tp, label=f"{phi.label or 'phi'}-trace")
@@ -207,6 +208,8 @@ def decompose(phi: FunctionalSpec, schedule: UnitSchedule, tau: HermitianTuple,
 
     unit_norms = [unit_commutator_norms(tau, gauge, unit) for unit in schedule.steps]
     for op in test_set:
+        if op.gauge != gauge:
+            raise ValueError("test set was normed in another gauge")
         sm = op.matrix
         target = eval_trace_part(tp, tau, sm)
         s_comms = commutator_tuple(tau, sm)

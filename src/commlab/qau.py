@@ -38,6 +38,7 @@ class MonotonizationError(ValueError):
 STEP_SCALE = 1.0
 STOP_TOLERANCE = 1e-8
 PATIENCE = 50
+MAX_ITERATIONS = 2000
 
 
 def _check_iterations(max_iterations: int) -> None:
@@ -163,7 +164,7 @@ class OptimizeResult:
 
 
 def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: int,
-                  max_iterations: int = 2000) -> OptimizeResult:
+                  max_iterations: int = MAX_ITERATIONS) -> OptimizeResult:
     """Minimize max_j |[T_j, A]|_gauge over the window's feasible units.
 
     Projected subgradient descent from the ramp (never accepting an ascent:
@@ -271,7 +272,7 @@ class KEstimateTable:
 
 
 def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
-               max_iterations: int = 2000, jobs: int = 1) -> KEstimateTable:
+               max_iterations: int = MAX_ITERATIONS, jobs: int = 1) -> KEstimateTable:
     """Table of beta(m, r) over a floor/cap grid with its summary estimate.
 
     Cells are solved independently (in parallel when jobs > 1, largest cap
@@ -280,7 +281,6 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
     cap grows, so each cell reports the best certified value available to
     it.  The summary is max over floors of the min over caps.
     """
-    _check_iterations(max_iterations)
     floors = tuple(sorted(int(m) for m in floors))
     caps = tuple(sorted(int(r) for r in caps))
     if not floors or not caps:
@@ -347,7 +347,7 @@ def _check_monotone_steps(steps):
 
 def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
                    mode: str = "ramp",
-                   max_iterations: int = 2000) -> UnitSchedule:
+                   max_iterations: int = MAX_ITERATIONS) -> UnitSchedule:
     """A monotone sequence of units over nested windows, with commutator norms.
 
     Windows are (floor, cap) pairs with nondecreasing floors, strictly

@@ -33,8 +33,9 @@ class SampleSpec:
 class TestOperator:
     """A test operator with both halves of its norm, taken once when it was drawn.
 
-    `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge; their
-    max is the max-form norm and their sum the sum-form norm.
+    `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge in the
+    `gauge` it was drawn with; their max is the max-form norm and their sum
+    the sum-form norm.
     """
 
     op_id: str
@@ -42,6 +43,7 @@ class TestOperator:
     kind: str
     operator_norm: float
     commutator_norm: float
+    gauge: GaugeSpec
 
     @property
     def finitely_supported(self) -> bool:
@@ -81,7 +83,7 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
     eye = np.eye(dim, dtype=np.complex128)
     eye.setflags(write=False)
     ops = [TestOperator(op_id="identity", matrix=eye, kind="random-hermitian",
-                        operator_norm=1.0, commutator_norm=0.0)]
+                        operator_norm=1.0, commutator_norm=0.0, gauge=gauge)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         m = _sample_matrix(rng, kind, dim, spec.support, spec.bandwidth)
@@ -94,5 +96,5 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
             c_norm /= norm
         m.setflags(write=False)
         ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind,
-                                operator_norm=s_norm, commutator_norm=c_norm))
+                                operator_norm=s_norm, commutator_norm=c_norm, gauge=gauge))
     return tuple(ops)

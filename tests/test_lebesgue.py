@@ -441,11 +441,11 @@ def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
 # -------------------------------------------------------------- decompose
 
 
-def sample_ops(tau, seed, count=6):
+def sample_ops(tau, seed, count=6, gauge=G2):
     return generate_test_set(
         SampleSpec(seed=seed, count=count,
                    kinds=("finitely-supported", "banded"), support=5),
-        tau, G2)
+        tau, gauge)
 
 
 def test_decompose_mixed_functional():
@@ -557,12 +557,25 @@ def test_decompose_aligns_gauge_for_singular_only():
     tau = lap()
     sched = build_schedule(tau, schatten(1), WINDOWS)
     phi = FunctionalSpec(singular_part=coordinate_tail_states(TAIL_RANGE))
-    ops = sample_ops(tau, seed=78, count=3)
+    ops = sample_ops(tau, seed=78, count=3, gauge=schatten(1))
     report = decompose(phi, sched, tau, schatten(1), ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.additivity.upper_trace == 0.0
     assert report.additivity.upper_tail == 1.0
+
+
+def test_decompose_refuses_a_test_set_normed_in_another_gauge():
+    # the carried commutator norms are Schatten-2 ones; Schatten-1 norms are
+    # at least as large, so reading them in schatten(1) would inflate the lower bound
+    tau = lap()
+    sched = build_schedule(tau, schatten(1), WINDOWS)
+    phi = FunctionalSpec(singular_part=coordinate_tail_states(TAIL_RANGE))
+    ops = sample_ops(tau, seed=78, count=3)
+    with pytest.raises(ValueError, match="another gauge"):
+        decompose(phi, sched, tau, schatten(1), ops)
+    with pytest.raises(ValueError, match="another gauge"):
+        projection_check([phi, phi], sched, tau, schatten(1), ops)
 
 
 # ------------------------------------------------------------- projection

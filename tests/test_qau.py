@@ -185,6 +185,16 @@ def test_optimizer_moves_on_a_huge_tuple():
     assert len({value for _, value, _ in res.trace}) > 1
 
 
+@pytest.mark.parametrize("solve", [
+    lambda tau, n: optimize_unit(tau, schatten(2), 2, 8, max_iterations=n),
+    lambda tau, n: k_estimate(tau, schatten(2), [2], [8], max_iterations=n),
+    lambda tau, n: build_schedule(tau, schatten(2), [(2, 8)], max_iterations=n),
+], ids=["optimize_unit", "k_estimate", "build_schedule"])
+def test_negative_max_iterations_is_refused(solve):
+    with pytest.raises(ValueError, match=r"max_iterations out of range: -1"):
+        solve(instantiate_model(LAP, 16), -1)
+
+
 @pytest.mark.parametrize("window", [(16, 32), (160, 256)], ids=lambda w: "%d-%d" % w)
 @pytest.mark.parametrize("gauge", [schatten(2), sup_gauge()], ids=lambda g: g.label)
 def test_ramp_value_agrees_between_optimizer_and_schedule(gauge, window):
