@@ -22,7 +22,7 @@ from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, norm_value_and_subg
                      schatten)
 from .idealops import HermitianTuple, band_commutator, embed
 from .qau import _check_iterations
-from .sampling import SampleSpec, TestOperator, generate_test_set
+from .sampling import SampleSpec, TestOperator, _check_gauge, generate_test_set
 
 _TRACE_NORM = schatten(1.0)
 DETECTION_RUN = 5
@@ -281,12 +281,11 @@ def rows_read(phi, tau: HermitianTuple) -> np.ndarray:
     return np.unique(np.concatenate(rows)) if rows else np.zeros(0, dtype=int)
 
 
-def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, float]:
-    """(trace norm of X, sum of conjugate-gauge norms of the Y_j)."""
+def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, tuple[float, ...]]:
+    """(trace norm of X, conjugate-gauge norm of each Y_j, 0.0 for an empty one)."""
     dual = conjugate_gauge(gauge)
     x1 = gauge_norm(_TRACE_NORM, tp.x) if tp.x.size else 0.0
-    ysum = sum(gauge_norm(dual, y) for y in tp.ys if y.size)
-    return float(x1), float(ysum)
+    return float(x1), tuple(gauge_norm(dual, y) if y.size else 0.0 for y in tp.ys)
 
 
 def eval_or_none(phi, tau: HermitianTuple, s) -> complex | None:
@@ -336,18 +335,20 @@ class NormBounds:
 
 
 def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: GaugeSpec,
-                           sample_spec: SampleSpec) -> NormBounds:
-    x1, ysum = (trace_part_norms(phi.trace_part, gauge)
-                if phi.trace_part is not None else (0.0, 0.0))
+                           test_set: tuple[TestOperator, ...]) -> NormBounds:
+    """Both norm brackets of phi, sampled on a test set drawn for tau in this gauge."""
+    _check_gauge(test_set, gauge)
+    x1, y_norms = (trace_part_norms(phi.trace_part, gauge)
+                   if phi.trace_part is not None else (0.0, ()))
+    ysum = float(sum(y_norms))
     singular = 1.0 if phi.singular_part is not None else 0.0
     upper = x1 + ysum + singular
     upper_alt = max(x1 + singular, ysum)
 
-    ops = generate_test_set(sample_spec, tau, gauge)
     lower, lower_alt, skipped = sampled_lower(
-        [eval_or_none(phi, tau, op.matrix) for op in ops], ops)
+        [eval_or_none(phi, tau, op.matrix) for op in test_set], test_set)
     return NormBounds(lower=lower, upper=upper, lower_alt=lower_alt,
-                      upper_alt=upper_alt, skipped=skipped, samples=len(ops))
+                      upper_alt=upper_alt, skipped=skipped, samples=len(test_set))
 
 
 # Predual elements are trace parts read modulo commutator-sum pairs.

@@ -129,6 +129,10 @@ def _square(matrix, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     m = np.asarray(matrix)
     if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
+    return m
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -156,21 +160,24 @@ def _frobenius(m: np.ndarray) -> float:
 
     It is decided before any sum from the largest real or imaginary part, which stays
     finite where the largest modulus overflows (argmax and argmin: no temporary array).
+    The scale is finite exactly when the entries are: argmax and argmin land on any nan.
     """
     x = m.ravel()
     parts = x.view(x.real.dtype) if x.dtype.kind == "c" else x  # real and imaginary parts
     scale = max(parts[parts.argmax()], -parts[parts.argmin()]) if parts.size else 0.0
     s = float(scale)  # python floats: these products may overflow without a warning
+    if not math.isfinite(s):
+        raise ValueError("matrix entries must be finite")
     if s * s > 0.0 and s * s * parts.size <= _LARGEST / 2:
         return float(np.linalg.norm(m))
-    if s == 0.0 or not math.isfinite(s):
+    if s == 0.0:
         return s
     return s * float(np.linalg.norm(_divide(m, scale)))
 
 
 def singular_values(matrix) -> np.ndarray:
     """Nonincreasing singular values of a square matrix."""
-    return np.linalg.svd(_square(matrix), compute_uv=False)
+    return np.linalg.svd(_finite(_square(matrix)), compute_uv=False)
 
 
 def gauge_norm(gauge: GaugeSpec, matrix) -> float:
@@ -205,7 +212,7 @@ def operator_norm(matrix) -> float:
     one as max |lambda| from `eigvalsh` (0.08 s against the SVD's 0.13 s at
     N = 512, one BLAS thread), any other corner as its first singular value.
     """
-    m = _square(matrix)
+    m = _finite(_square(matrix))
     size = support_size(m)
     if not size:
         return 0.0
@@ -273,7 +280,7 @@ def norm_value_and_subgradient(gauge: GaugeSpec,
         values = [_frobenius(x) for x in stack]
         d = _divide(stack, np.array([v if v > 0.0 else 1.0 for v in values]).reshape(-1, 1, 1))
     else:
-        u, s, vh = np.linalg.svd(stack)
+        u, s, vh = np.linalg.svd(_finite(stack))
         values = [_sorted_gauge_value(gauge, x) for x in s]
         d = (u * _subgradient_weights(gauge, s, values)[:, None, :]) @ vh
     return (np.array(values), d) if m.ndim == 3 else (values[0], d[0])

@@ -18,8 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .gauges import GaugeSpec, _frobenius, diagonal_or_none, gauge_norm, norm_subgradient
-from .idealops import (HermitianTuple, band_commutator, corner_commutators, embed,
-                       tuple_gauge_norm)
+from .idealops import HermitianTuple, band_commutator, corner_commutators, embed
 
 EIG_TOL = 1e-10
 MONOTONE_TOL = 1e-6
@@ -79,6 +78,11 @@ class UnitElement:
     def matrix(self) -> np.ndarray:
         """The unit as an N x N operator."""
         return embed(self.block, self.dimension)
+
+
+def _member_norms(tau: HermitianTuple, gauge: GaugeSpec, block: np.ndarray) -> tuple[float, ...]:
+    """The gauge norms |[T_j, A]| of the unit with cap block A, member by member."""
+    return tuple(gauge_norm(gauge, k) for k in corner_commutators(tau, block))
 
 
 def _hermitize(block: np.ndarray) -> np.ndarray:
@@ -178,7 +182,7 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
     if floor_m == cap_r:
         # Degenerate window: the only feasible unit is the projection itself.
         unit = _make_unit(np.eye(cap_r, dtype=tau.dtype), floor_m, dim)
-        value = tuple_gauge_norm(corner_commutators(tau, unit.block), gauge)
+        value = max(_member_norms(tau, gauge, unit.block))
         return OptimizeResult(unit=unit, value=value, trace=((0, value, value),))
 
     # every commutator of the search lives on this corner, taken once
@@ -275,12 +279,14 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
                max_iterations: int = MAX_ITERATIONS, jobs: int = 1) -> KEstimateTable:
     """Table of beta(m, r) over a floor/cap grid with its summary estimate.
 
-    Cells are solved independently (in parallel when jobs > 1, largest cap
-    first) and then a deterministic chaining pass propagates feasible
-    values: a unit for a window stays feasible when the floor shrinks or the
-    cap grows, so each cell reports the best certified value available to
-    it.  The summary is max over floors of the min over caps.
+    Cells are solved independently by `jobs` workers, largest cap first,
+    and then a deterministic chaining pass propagates feasible values: a
+    unit for a window stays feasible when the floor shrinks or the cap
+    grows, so each cell reports the best certified value available to it.
+    The summary is max over floors of the min over caps.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs out of range: {jobs!r}")
     floors = tuple(sorted(int(m) for m in floors))
     caps = tuple(sorted(int(r) for r in caps))
     if not floors or not caps:
@@ -291,18 +297,10 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
         for r in caps:
             _validate_window(tau, m, r)
 
-    pairs = [(m, r) for m in floors for r in caps]
-
-    def solve(pair):
-        return optimize_unit(tau, gauge, *pair, max_iterations)
-
-    if jobs > 1:
-        # largest cap first: the costliest cells must not be left to finish last
-        order = sorted(pairs, key=lambda pair: -pair[1])
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = dict(zip(order, pool.map(solve, order)))
-    else:
-        solved = {pair: solve(pair) for pair in pairs}
+    order = sorted(((m, r) for m in floors for r in caps), key=lambda pair: -pair[1])
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        solved = dict(zip(order, pool.map(
+            lambda pair: optimize_unit(tau, gauge, *pair, max_iterations), order)))
 
     beta, status = {}, {}
     for i in reversed(range(len(floors))):
@@ -326,8 +324,17 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
 
 @dataclass(frozen=True)
 class UnitSchedule:
+    """Monotone units built in `mode`; `member_norms[k][j]` is |[T_j, A_k]| in `gauge`."""
+
     steps: tuple[UnitElement, ...]
-    commutator_norms: tuple[float, ...]
+    member_norms: tuple[tuple[float, ...], ...]
+    mode: str
+    gauge: GaugeSpec
+
+    @property
+    def commutator_norms(self) -> tuple[float, ...]:
+        """max_j |[T_j, A_k]|_gauge for each step k."""
+        return tuple(max(norms) for norms in self.member_norms)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -398,5 +405,5 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
         raise ValueError(f"unknown schedule mode {mode!r}")
 
     _check_monotone_steps(steps)
-    norms = tuple(tuple_gauge_norm(corner_commutators(tau, u.block), gauge) for u in steps)
-    return UnitSchedule(steps=tuple(steps), commutator_norms=norms)
+    norms = tuple(_member_norms(tau, gauge, u.block) for u in steps)
+    return UnitSchedule(steps=tuple(steps), member_norms=norms, mode=mode, gauge=gauge)

@@ -219,12 +219,8 @@ def stage_decompose(config: ExperimentConfig) -> dict:
     gauge = config.primary_gauge
     schedule = _build_configured_schedule(config, tau)
     test_set = generate_test_set(config.sample, tau, gauge)
-    reports = []
-    for i, phi in enumerate(config.functionals):
-        report = decompose(phi, schedule, tau, gauge, test_set,
-                           phi_id=phi.label or f"phi-{i}",
-                           schedule_id=f"{config.schedule_mode}-{len(schedule)}")
-        reports.append(_report_payload(report))
+    reports = [_report_payload(report)
+               for report in decompose(config.functionals, schedule, tau, gauge, test_set)]
     return {**_tuple_header(config), "reports": reports,
             "passed": all(r["status"] == "ok" for r in reports)}
 

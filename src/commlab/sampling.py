@@ -50,6 +50,12 @@ class TestOperator:
         return self.kind == "finitely-supported"
 
 
+def _check_gauge(test_set: tuple[TestOperator, ...], gauge: GaugeSpec) -> None:
+    """Refuse a test set whose carried norms were taken in another gauge."""
+    if any(op.gauge != gauge for op in test_set):
+        raise ValueError("test set was normed in another gauge")
+
+
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0

@@ -242,11 +242,16 @@ def test_combination_is_linear():
 # ------------------------------------------------------------ norm bounds
 
 
+def norm_bounds(phi, tau, spec):
+    """functional_norm_bounds in schatten-2 on the test set drawn from spec."""
+    return functional_norm_bounds(phi, tau, G2, generate_test_set(spec, tau, G2))
+
+
 def test_norm_bounds_rank_one_trace_part():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 32)
     tp = TracePart(x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2)
     phi = FunctionalSpec(trace_part=tp)
-    bounds = functional_norm_bounds(phi, tau, G2, SampleSpec(seed=5, count=8))
+    bounds = norm_bounds(phi, tau, SampleSpec(seed=5, count=8))
     assert bounds.upper == pytest.approx(1.0, abs=1e-12)
     assert bounds.lower == pytest.approx(1.0, abs=1e-9)
     assert bounds.skipped == 0
@@ -255,7 +260,7 @@ def test_norm_bounds_rank_one_trace_part():
 def test_norm_bounds_zero_functional():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 32)
     phi = FunctionalSpec(trace_part=TracePart.zero(2, G2))
-    bounds = functional_norm_bounds(phi, tau, G2, SampleSpec(seed=6, count=4))
+    bounds = norm_bounds(phi, tau, SampleSpec(seed=6, count=4))
     assert bounds.lower == 0.0 and bounds.upper == 0.0
 
 
@@ -263,7 +268,7 @@ def test_norm_bounds_singular_state():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 64)
     phi = FunctionalSpec(singular_part=coordinate_tail_states(range(40, 50)))
     spec = SampleSpec(seed=7, count=6, kinds=("finitely-supported",), support=6)
-    bounds = functional_norm_bounds(phi, tau, G2, spec)
+    bounds = norm_bounds(phi, tau, spec)
     assert bounds.upper == pytest.approx(1.0, abs=1e-12)
     assert bounds.lower == pytest.approx(1.0, abs=1e-9)
     # finitely supported samples evaluate to zero, none fail to converge
@@ -274,7 +279,7 @@ def test_norm_bounds_counts_nonconvergent_samples():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 64)
     # three windows cannot carry the five-delta detection run
     phi = FunctionalSpec(singular_part=coordinate_tail_states([40, 44, 48]))
-    bounds = functional_norm_bounds(phi, tau, G2, SampleSpec(seed=8, count=5))
+    bounds = norm_bounds(phi, tau, SampleSpec(seed=8, count=5))
     assert bounds.skipped == bounds.samples
     assert bounds.lower == 0.0
 
@@ -286,10 +291,19 @@ def test_norm_bounds_sandwich_on_random_functionals():
         tp = TracePart(x=random_block(rng, 4),
                        ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
         phi = FunctionalSpec(trace_part=tp)
-        bounds = functional_norm_bounds(phi, tau, G2, SampleSpec(seed=50 + i, count=10))
+        bounds = norm_bounds(phi, tau, SampleSpec(seed=50 + i, count=10))
         assert bounds.lower <= bounds.upper + 1e-9
         assert bounds.lower_alt <= bounds.upper_alt + 1e-9
         assert bounds.upper_alt <= bounds.upper + 1e-12
+
+
+def test_norm_bounds_refuse_a_test_set_normed_in_another_gauge():
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 32)
+    phi = FunctionalSpec(trace_part=TracePart(x=np.array([[1.0]]), ys=(EMPTY, EMPTY),
+                                              gauge=schatten(1)))
+    ops = generate_test_set(SampleSpec(seed=9, count=2), tau, G2)
+    with pytest.raises(ValueError, match="another gauge"):
+        functional_norm_bounds(phi, tau, schatten(1), ops)
 
 
 # --------------------------------------------------------------- quotient

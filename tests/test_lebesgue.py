@@ -1,5 +1,7 @@
 """Recovery of trace parts through unit schedules, with certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,9 @@ from commlab import (
     recovery_error_bound,
     schatten,
     sup_gauge,
+    tuple_gauge_norm,
 )
-from commlab.lebesgue import unit_commutator_norms
+from commlab import lebesgue, sampling
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -135,7 +138,7 @@ def test_recover_failing_step_carries_the_recovery_values():
         recover_ac_part(phi, sched, tau, np.eye(DIM))
     assert err.value.sequence == (1.0,) * 5
 
-    report = decompose(phi, sched, tau, G2, sample_ops(tau, seed=65, count=3))
+    (report,) = decompose([phi], sched, tau, G2, sample_ops(tau, seed=65, count=3))
 
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "failed"
@@ -353,15 +356,64 @@ def test_row_only_recovery_matches_dense_products(inside_case, name):
 
 
 @pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge()], ids=lambda g: g.label)
-def test_bound_with_unit_norms_is_bitwise_the_same(corner_case, gauge):
+def test_decompose_bounds_are_bitwise_those_of_recovery_error_bound(corner_case, gauge):
+    # the schedules were built in schatten-2: in the other gauges decompose
+    # takes the unit norms again instead of reading the carried ones
     tau, schedules, operands, (x, y1, y2) = corner_case
     tp = TracePart(x=x, ys=(y1, y2), gauge=gauge)
+    matrices = operands + [np.eye(CORNER_DIM)]
+    ops = tuple(sampling.TestOperator(
+                    op_id=f"S-{i}", matrix=s, kind="banded", operator_norm=operator_norm(s),
+                    commutator_norm=tuple_gauge_norm(commutator_tuple(tau, s), gauge),
+                    gauge=gauge)
+                for i, s in enumerate(matrices))
     for sched in schedules:
-        for unit in sched.steps:
-            norms = unit_commutator_norms(tau, gauge, unit)
-            for s in operands + [np.eye(CORNER_DIM)]:
-                assert (recovery_error_bound(tp, tau, gauge, unit, s, unit_norms=norms)
-                        == recovery_error_bound(tp, tau, gauge, unit, s))
+        (report,) = decompose([FunctionalSpec(trace_part=tp)], sched, tau, gauge, ops)
+        for rec, s in zip(report.per_s, matrices, strict=True):
+            assert rec.bounds == tuple(recovery_error_bound(tp, tau, gauge, unit, s)
+                                       for unit in sched.steps)
+
+
+def test_decompose_of_several_functionals_gives_each_its_own_report():
+    # phi reads Y on the first member only and psi on the second, so the pair
+    # takes shrunk norms for both members where each alone takes one
+    rng = np.random.default_rng(86)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phi = FunctionalSpec(trace_part=TracePart(x=random_block(rng, 3),
+                                              ys=(random_block(rng, 4), EMPTY), gauge=G2),
+                         singular_part=coordinate_tail_states(TAIL_RANGE))
+    psi = FunctionalSpec(trace_part=TracePart(x=EMPTY, ys=(EMPTY, random_block(rng, 2)),
+                                              gauge=G2), label="psi")
+    ops = sample_ops(tau, seed=87, count=4)
+    both = decompose([phi, psi], sched, tau, G2, ops)
+    (alone_phi,) = decompose([phi], sched, tau, G2, ops)
+    (alone_psi,) = decompose([psi], sched, tau, G2, ops)
+    assert [r.phi_id for r in both] == ["phi-0", "psi"]
+    assert both[0] == alone_phi
+    assert both[1] == alone_psi
+    assert replace(decompose([phi, phi], sched, tau, G2, ops)[1], phi_id="phi-0") == alone_phi
+    assert all(r.status == "ok" and r.schedule_id == "ramp-8" for r in both)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
+    rng = np.random.default_rng(88)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phis = [FunctionalSpec(trace_part=random_trace_part(rng)) for _ in range(count)]
+    ops = sample_ops(tau, seed=89, count=3)
+    calls = []
+    original = lebesgue.commutator_tuple
+
+    def counting(tau, s):
+        calls.append(s)
+        return original(tau, s)
+
+    monkeypatch.setattr(lebesgue, "commutator_tuple", counting)
+    reports = decompose(phis, sched, tau, G2, ops)
+    assert len(reports) == count
+    assert [id(s) for s in calls] == [id(op.matrix) for op in ops]
 
 
 def test_decompose_takes_no_n_sized_svd(monkeypatch):
@@ -380,7 +432,7 @@ def test_decompose_takes_no_n_sized_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     ops = generate_test_set(SampleSpec(seed=79, count=2, kinds=("finitely-supported", "banded")),
                             tau, G2)
-    report = decompose(phi, sched, tau, G2, ops)
+    (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert [op.op_id for op in ops] == ["identity", "finitely-supported-0", "banded-1"]
     assert report.status == "ok"
@@ -431,7 +483,7 @@ def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    report = decompose(phi, sched, tau, G2, ops)
+    (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert [op.kind for op in ops] == ["random-hermitian"] * 3
     assert report.status == "ok"
@@ -457,7 +509,7 @@ def test_decompose_mixed_functional():
                          singular_part=coordinate_tail_states(TAIL_RANGE),
                          label="mixed")
     ops = sample_ops(tau, seed=72)
-    report = decompose(phi, sched, tau, G2, ops)
+    (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.diagnostics == ()
@@ -479,7 +531,7 @@ def test_decompose_zero_functional():
     sched = build_schedule(tau, G2, WINDOWS)
     phi = FunctionalSpec(trace_part=TracePart.zero(2, G2), label="zero")
     ops = sample_ops(tau, seed=73, count=4)
-    report = decompose(phi, sched, tau, G2, ops)
+    (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert all(rec.limit == 0.0 for rec in report.per_s)
@@ -495,7 +547,7 @@ def test_decompose_trace_only_additivity():
     sched = build_schedule(tau, G2, WINDOWS)
     phi = FunctionalSpec(trace_part=random_trace_part(rng), label="trace-only")
     ops = sample_ops(tau, seed=75)
-    report = decompose(phi, sched, tau, G2, ops)
+    (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.additivity.upper_tail == 0.0
@@ -510,7 +562,7 @@ def test_decompose_flags_nonconvergence():
     sched = build_schedule(tau, G2, WINDOWS[:5])
     phi = FunctionalSpec(trace_part=random_trace_part(rng))
     ops = sample_ops(tau, seed=77, count=3)
-    report = decompose(phi, sched, tau, G2, ops)
+    (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "failed"
     assert any("did not converge" in d for d in report.diagnostics)
@@ -528,7 +580,7 @@ def test_decompose_diagnostic_carries_the_not_converged_message(windows, tail, m
     phi = FunctionalSpec(
         trace_part=TracePart(x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2),
         singular_part=None if tail is None else coordinate_tail_states(tail))
-    report = decompose(phi, sched, tau, G2, sample_ops(tau, seed=65, count=3))
+    (report,) = decompose([phi], sched, tau, G2, sample_ops(tau, seed=65, count=3))
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.per_s[0].limit is None
     assert report.diagnostics[0] == f"identity: recovery did not converge: {message}"
@@ -546,9 +598,9 @@ def test_decompose_and_norm_bounds_share_the_sampled_lower():
     phi = FunctionalSpec(trace_part=random_trace_part(rng),
                          singular_part=coordinate_tail_states(TAIL_RANGE))
     spec = SampleSpec(seed=85, count=4, kinds=("finitely-supported", "random-hermitian"))
-    report = decompose(phi, sched, tau, G2, generate_test_set(spec, tau, G2))
+    (report,) = decompose([phi], sched, tau, G2, generate_test_set(spec, tau, G2))
     assert report.status == ("failed" if report.diagnostics else "ok")
-    bounds = functional_norm_bounds(phi, tau, G2, spec)
+    bounds = functional_norm_bounds(phi, tau, G2, generate_test_set(spec, tau, G2))
     assert bounds.skipped == 2
     assert (report.additivity.lower, report.additivity.skipped) == (bounds.lower, bounds.skipped)
 
@@ -558,7 +610,7 @@ def test_decompose_aligns_gauge_for_singular_only():
     sched = build_schedule(tau, schatten(1), WINDOWS)
     phi = FunctionalSpec(singular_part=coordinate_tail_states(TAIL_RANGE))
     ops = sample_ops(tau, seed=78, count=3, gauge=schatten(1))
-    report = decompose(phi, sched, tau, schatten(1), ops)
+    (report,) = decompose([phi], sched, tau, schatten(1), ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
     assert report.status == "ok"
     assert report.additivity.upper_trace == 0.0
@@ -573,7 +625,7 @@ def test_decompose_refuses_a_test_set_normed_in_another_gauge():
     phi = FunctionalSpec(singular_part=coordinate_tail_states(TAIL_RANGE))
     ops = sample_ops(tau, seed=78, count=3)
     with pytest.raises(ValueError, match="another gauge"):
-        decompose(phi, sched, tau, schatten(1), ops)
+        decompose([phi], sched, tau, schatten(1), ops)
     with pytest.raises(ValueError, match="another gauge"):
         projection_check([phi, phi], sched, tau, schatten(1), ops)
 

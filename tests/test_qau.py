@@ -9,6 +9,7 @@ from commlab import (
     OperatorModelSpec,
     build_schedule,
     commutator_tuple,
+    gauge_norm,
     instantiate_model,
     k_estimate,
     ky_fan,
@@ -258,6 +259,13 @@ def test_k_table_deterministic_under_jobs(jobs):
     assert serial.estimate == threaded.estimate
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_k_table_refuses_jobs_below_one(jobs):
+    tau = instantiate_model(LAP, 32)
+    with pytest.raises(ValueError, match="jobs"):
+        k_estimate(tau, schatten(2), floors=[4], caps=[12], jobs=jobs)
+
+
 def test_k_table_rejects_infeasible_cell():
     tau = instantiate_model(LAP, 32)
     with pytest.raises(ValueError):
@@ -297,9 +305,14 @@ def test_schedule_steps_monotone_and_norms_consistent(mode):
         diff = np.asarray(cur.matrix) - np.asarray(prev.matrix)
         lam = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
         assert lam[0] >= -1e-10
-    for unit, norm in zip(sched.steps, sched.commutator_norms):
+    assert (sched.mode, sched.gauge) == (mode, schatten(2))
+    for unit, norms, norm in zip(sched.steps, sched.member_norms, sched.commutator_norms,
+                                 strict=True):
         direct = tuple_gauge_norm(commutator_tuple(tau, unit.matrix), schatten(2))
         assert abs(norm - direct) <= 1e-10
+        assert norm == max(norms)
+        for k, member in zip(commutator_tuple(tau, unit.matrix), norms, strict=True):
+            assert member == pytest.approx(gauge_norm(schatten(2), k), rel=1e-12, abs=1e-15)
 
 
 def test_schedule_window_validation():

@@ -51,18 +51,23 @@ def test_all_is_sorted_and_names_every_public_binding():
     assert set(names) == public
 
 
+MODULES = {info.name: importlib.import_module(f"commlab.{info.name}")
+           for info in pkgutil.iter_modules(commlab.__path__)}
+
+
 def _code_references():
-    """Backticked CamelCase or UPPER_CASE names in the README prose, with any dotted tail."""
+    """Backticked names in the README prose, with any dotted tail: CamelCase or
+    UPPER_CASE ones, and those headed by `commlab` or one of its modules."""
     prose = re.sub(r"```.*?```", "", README, flags=re.S)
     for span in re.findall(r"`([^`\n]+)`", prose):
-        ref = re.fullmatch(r"([A-Z][A-Za-z0-9_]+(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span)
-        if ref:
+        ref = re.fullmatch(r"(([A-Za-z_]\w*)(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span)
+        if ref and (re.fullmatch(r"[A-Z][A-Za-z0-9_]+", ref.group(2))
+                    or ref.group(2) in {"commlab", *MODULES}):
             yield ref.group(1)
 
 
 def test_readme_names_only_existing_classes_and_constants():
-    namespaces = [commlab] + [importlib.import_module(f"commlab.{info.name}")
-                              for info in pkgutil.iter_modules(commlab.__path__)]
+    namespaces = [commlab, *MODULES.values(), types.SimpleNamespace(commlab=commlab, **MODULES)]
 
     def resolves(ref):
         for obj in namespaces:
@@ -73,5 +78,6 @@ def test_readme_names_only_existing_classes_and_constants():
         return False
 
     refs = sorted(set(_code_references()))
-    assert "HermitianTuple.from_matrices" in refs and "STEP_SCALE" in refs
+    assert {"HermitianTuple.from_matrices", "STEP_SCALE", "functionals.rows_read",
+            "commlab.lebesgue"} <= set(refs)
     assert [ref for ref in refs if not resolves(ref)] == []
