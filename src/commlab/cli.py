@@ -43,6 +43,9 @@ def main(argv=None) -> int:
     if args.seed is not None and args.seed < 0:
         print("config error: --seed must be nonnegative", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("config error: --jobs must be at least one", file=sys.stderr)
+        return 2
     try:
         if args.command == "report":
             result = render_report(args.out)
@@ -53,10 +56,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config = config.with_seed(args.seed)
-        summary = run_experiment(config, args.out, stages=(args.command,),
-                                 jobs=max(1, args.jobs))
+        summary = run_experiment(config, args.out, stages=(args.command,), jobs=args.jobs)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
+        print(f"{'artifact' if args.command == 'report' else 'config'} error: {err}",
+              file=sys.stderr)
         return 2
     for name, info in summary["stages"].items():
         print(f"{name}: {'pass' if info['passed'] else 'FAIL'}")

@@ -174,6 +174,8 @@ class TailStateSpec:
                 raise ValueError("state block must match its window size")
             if abs(np.trace(rho) - 1.0) > STATE_TOL:
                 raise ValueError("states must have unit trace")
+            if np.linalg.norm(rho - rho.conj().T, 2) > STATE_TOL:
+                raise ValueError("states must be hermitian")
             lam = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
             if lam[0] < -STATE_TOL:
                 raise ValueError("states must be positive semidefinite")
@@ -253,15 +255,24 @@ def eval_functional(phi, tau: HermitianTuple, s) -> complex:
 
     A singular part is evaluated along all of its windows.
     """
+    return _eval_split(phi, tau, s)[0]
+
+
+def _eval_split(phi, tau: HermitianTuple, s,
+                strict: bool = True) -> tuple[complex | None, complex]:
+    """(phi(S), the value of phi's trace part at S), each part evaluated once.  A singular
+    part's NotConverged propagates, or, for a FunctionalSpec not `strict`, makes phi(S) None."""
     if isinstance(phi, FunctionalCombo):
-        return sum((c * eval_functional(f, tau, s) for c, f in phi.terms),
-                   start=0.0 + 0.0j)
-    value = 0.0 + 0.0j
-    if phi.trace_part is not None:
-        value += eval_trace_part(phi.trace_part, tau, s)
-    if phi.singular_part is not None:
-        value += eval_singular_part(phi.singular_part, s)
-    return value
+        pairs = [(c, *_eval_split(f, tau, s)) for c, f in phi.terms]
+        return tuple(sum((c * p[i] for c, *p in pairs), start=0.0 + 0.0j) for i in (0, 1))
+    trace = 0j if phi.trace_part is None else eval_trace_part(phi.trace_part, tau, s)
+    try:
+        tail = 0j if phi.singular_part is None else eval_singular_part(phi.singular_part, s)
+    except NotConverged:
+        if strict:
+            raise
+        return None, trace
+    return 0.0 + 0.0j + trace + tail, trace
 
 
 def rows_read(phi, tau: HermitianTuple) -> np.ndarray:
@@ -286,14 +297,6 @@ def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, tuple[floa
     dual = conjugate_gauge(gauge)
     x1 = gauge_norm(_TRACE_NORM, tp.x) if tp.x.size else 0.0
     return float(x1), tuple(gauge_norm(dual, y) if y.size else 0.0 for y in tp.ys)
-
-
-def eval_or_none(phi, tau: HermitianTuple, s) -> complex | None:
-    """eval_functional, or None where it raises NotConverged."""
-    try:
-        return eval_functional(phi, tau, s)
-    except NotConverged:
-        return None
 
 
 def sampled_lower(values, test_ops: tuple[TestOperator, ...]) -> tuple[float, float, int]:
@@ -338,17 +341,19 @@ def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: Gaug
                            test_set: tuple[TestOperator, ...]) -> NormBounds:
     """Both norm brackets of phi, sampled on a test set drawn for tau in this gauge."""
     _check_gauge(test_set, gauge)
-    x1, y_norms = (trace_part_norms(phi.trace_part, gauge)
-                   if phi.trace_part is not None else (0.0, ()))
-    ysum = float(sum(y_norms))
-    singular = 1.0 if phi.singular_part is not None else 0.0
-    upper = x1 + ysum + singular
-    upper_alt = max(x1 + singular, ysum)
+    x1, y_norms = trace_part_norms(phi.trace_part or TracePart.zero(tau.n, gauge), gauge)
+    values = [_eval_split(phi, tau, op.matrix, strict=False)[0] for op in test_set]
+    return _norm_bracket(phi, x1, y_norms, values, test_set)[2]
 
-    lower, lower_alt, skipped = sampled_lower(
-        [eval_or_none(phi, tau, op.matrix) for op in test_set], test_set)
-    return NormBounds(lower=lower, upper=upper, lower_alt=lower_alt,
-                      upper_alt=upper_alt, skipped=skipped, samples=len(test_set))
+
+def _norm_bracket(phi: FunctionalSpec, x1: float, y_norms, values,
+                  test_set: tuple[TestOperator, ...]) -> tuple[float, float, NormBounds]:
+    """(upper_trace, upper_tail, NormBounds) of phi from its trace part's norms
+    `x1` and `y_norms` and its `values` on the test set."""
+    ysum, singular = float(sum(y_norms)), 1.0 if phi.singular_part is not None else 0.0
+    lower, lower_alt, skipped = sampled_lower(values, test_set)
+    return x1 + ysum, singular, NormBounds(lower, x1 + ysum + singular, lower_alt,
+                                           max(x1 + singular, ysum), skipped, len(test_set))
 
 
 # Predual elements are trace parts read modulo commutator-sum pairs.

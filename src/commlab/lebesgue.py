@@ -14,17 +14,14 @@ import numpy as np
 
 from .functionals import (
     _TRACE_NORM,
-    FunctionalSpec,
     NotConverged,
     TracePart,
     _check_margin,
+    _eval_split,
+    _norm_bracket,
     combine,
     detect_limit,
-    eval_functional,
-    eval_or_none,
-    eval_trace_part,
     rows_read,
-    sampled_lower,
     trace_part_norms,
 )
 from .gauges import GaugeSpec, diagonal_or_none, gauge_norm, gauge_value, operator_norm
@@ -59,11 +56,16 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s) -> Reco
     Raises NotConverged carrying the recovery values: all of them when no
     limit settles, those before the step when phi fails to converge there.
     """
+    return _recover(phi, schedule, tau, s)[0]
+
+
+def _recover(phi, schedule: UnitSchedule, tau: HermitianTuple, s):
+    """`recover_ac_part`, and the values of phi's trace part at the same A_k S."""
     sm = np.asarray(s)
     if sm.shape != (tau.dimension, tau.dimension):
         raise ValueError("operand dimension does not match the tuple")
     read = rows_read(phi, tau)
-    values = []
+    values, traces = [], []
     for k, unit in enumerate(schedule.steps, start=1):
         if unit.dimension != tau.dimension:
             raise ValueError("schedule dimension does not match the tuple")
@@ -71,11 +73,13 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s) -> Reco
         product = np.zeros(sm.shape, dtype=np.result_type(unit.block, sm))
         product[rows] = unit.block[rows] @ sm[:unit.cap_r]
         try:
-            values.append(eval_functional(phi, tau, product))
+            value, trace = _eval_split(phi, tau, product)
         except NotConverged as err:
             raise NotConverged(f"step {k}: {err}", values) from None
+        values.append(value)
+        traces.append(trace)
     limit = detect_limit(values, rule="plain", tol=1e-9)
-    return RecoveryResult(sequence=tuple(values), limit=limit)
+    return RecoveryResult(sequence=tuple(values), limit=limit), traces
 
 
 def _trace_factors(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec, units):
@@ -189,25 +193,24 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
               test_set: tuple[TestOperator, ...]) -> tuple[DecompositionReport, ...]:
     """Recover the trace part of each FunctionalSpec in phis, with certificates.
 
-    One report per functional, in order.  Per test operator: the recovery
-    sequence along the schedule, its limit, the per-step bounds of
-    `recovery_error_bound` and whether the gaps stay under them; one direct
-    evaluation of phi for the residual on finitely supported members and for
-    the sampled norm lower bound, checked against the split upper bounds;
-    and a second recovery through the trace part alone, for the idempotence
-    gap.  A NotConverged becomes a diagnostic; a report fails exactly when
-    it has diagnostics, per operator in test-set order, the additivity one
-    last.  Each bound factor is formed once, at the level it depends on: per
-    unit, per operator or per functional.  The norms of S are those the
-    TestOperators carry: draw the test set for this tuple, in this gauge
-    (another is refused).
+    One report per functional, in order.  Per test operator, one pass forms
+    each A_k S and reads off it phi's value, for the recovery sequence, and
+    its trace part's value, whose limit gives the idempotence gap.  At S the
+    trace part's value is the target of the per-step gaps, which the bounds
+    of `recovery_error_bound` must dominate, and a summand of phi(S), which
+    gives the residual on finitely supported members and the sampled norm
+    lower bound, checked against the split upper bounds.  A NotConverged
+    becomes a diagnostic; a report fails exactly when it has diagnostics,
+    per operator in test-set order, the additivity one last.  Each bound
+    factor is formed once, at the level it depends on: per unit, per
+    operator or per functional.  The norms of S are those the TestOperators
+    carry: draw the test set for this tuple, in this gauge (another is refused).
     """
     _check_gauge(test_set, gauge)
     phis = tuple(phis)
     steps = schedule.steps
-    tps = [phi.trace_part if phi.trace_part is not None else TracePart.zero(tau.n, gauge)
-           for phi in phis]
-    factors = [_trace_factors(tp, tau, gauge, steps) for tp in tps]
+    factors = [_trace_factors(phi.trace_part or TracePart.zero(tau.n, gauge), tau, gauge, steps)
+               for phi in phis]
     member_norms = (schedule.member_norms if schedule.gauge == gauge
                     else [_member_norms(tau, gauge, unit.block) for unit in steps])
     wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
@@ -216,20 +219,17 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     shrunk = [[_shrunk_norms(gauge, unit, ks, wanted) for unit in steps] for ks in per_op]
 
     reports = []
-    for i, (phi, tp, (x1, y_norms, x_terms)) in enumerate(zip(phis, tps, factors)):
-        trace_only = FunctionalSpec(trace_part=tp, label=f"{phi.label or 'phi'}-trace")
-        diagnostics: list[str] = []
-        records: list[RecoveryRecord] = []
-        residuals: list[tuple[str, float]] = []
-        directs: list[complex | None] = []
+    for i, (phi, (x1, y_norms, x_terms)) in enumerate(zip(phis, factors)):
+        diagnostics, records, residuals, directs = [], [], [], []
         idem_gap = 0.0
         for op, op_shrunk in zip(test_set, shrunk):
             sm = op.matrix
-            target = eval_trace_part(tp, tau, sm)
+            direct, target = _eval_split(phi, tau, sm, strict=False)
+            directs.append(direct)
             bounds = tuple(_certificate(x, sn, an, y_norms, op.operator_norm)
                            for x, sn, an in zip(x_terms, op_shrunk, member_norms))
             try:
-                rec = recover_ac_part(phi, schedule, tau, sm)
+                rec, traces = _recover(phi, schedule, tau, sm)
                 seq, limit = rec.sequence, rec.limit
             except NotConverged as err:
                 diagnostics.append(f"{op.op_id}: recovery did not converge: {err}")
@@ -238,9 +238,6 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
             sound = all(g <= b + SOUNDNESS_TOL for g, b in zip(gaps, bounds))
             records.append(RecoveryRecord(s_id=op.op_id, sequence=seq, limit=limit,
                                           bounds=bounds, gaps=gaps, sound=sound))
-
-            direct = eval_or_none(phi, tau, sm)
-            directs.append(direct)
             if limit is None:
                 continue
             if not sound:
@@ -254,28 +251,25 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
                     if gap > RESIDUAL_TOL:
                         diagnostics.append(f"{op.op_id}: residual {gap:.3e} above tolerance")
             try:
-                again = recover_ac_part(trace_only, schedule, tau, sm)
+                again = detect_limit(traces, rule="plain", tol=1e-9)
             except NotConverged:
                 diagnostics.append(f"{op.op_id}: second-pass recovery did not converge")
             else:
-                idem_gap = max(idem_gap, abs(again.limit - limit))
+                idem_gap = max(idem_gap, abs(again - limit))
 
-        upper_trace = x1 + float(sum(y_norms))
-        upper_tail = 1.0 if phi.singular_part is not None else 0.0
-        lower, _, skipped = sampled_lower(directs, test_set)
-        add_ok = lower <= upper_trace + upper_tail + ADDITIVITY_SLACK
-        if not add_ok:
-            diagnostics.append(
-                f"norm lower bound {lower:.6e} exceeds split upper "
-                f"{upper_trace + upper_tail:.6e}")
+        upper_trace, upper_tail, bracket = _norm_bracket(phi, x1, y_norms, directs, test_set)
+        lower, upper = bracket.lower, bracket.upper
+        additivity = AdditivityRecord(lower, upper_trace, upper_tail, bracket.skipped,
+                                      ok=lower <= upper + ADDITIVITY_SLACK)
+        if not additivity.ok:
+            diagnostics.append(f"norm lower bound {lower:.6e} exceeds split upper {upper:.6e}")
 
         reports.append(DecompositionReport(
             phi_id=phi.label or f"phi-{i}",
             schedule_id=f"{schedule.mode}-{len(schedule)}",
             per_s=tuple(records),
             residuals=tuple(residuals),
-            additivity=AdditivityRecord(lower=lower, upper_trace=upper_trace,
-                                        upper_tail=upper_tail, skipped=skipped, ok=add_ok),
+            additivity=additivity,
             idempotence_gap=float(idem_gap),
             status="failed" if diagnostics else "ok",
             diagnostics=tuple(diagnostics),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -196,13 +197,7 @@ def _report_payload(report: DecompositionReport) -> dict:
             "sound": rec.sound,
         } for rec in report.per_s],
         "residuals": [{"S_id": sid, "value": value} for sid, value in report.residuals],
-        "additivity": {
-            "lower": report.additivity.lower,
-            "upper_trace": report.additivity.upper_trace,
-            "upper_tail": report.additivity.upper_tail,
-            "skipped": report.additivity.skipped,
-            "ok": report.additivity.ok,
-        },
+        "additivity": asdict(report.additivity),
         "idempotence_gap": report.idempotence_gap,
         "status": report.status,
         "diagnostics": list(report.diagnostics),
@@ -341,6 +336,24 @@ def _safe_name(raw: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", raw)
 
 
+def _report_files(stem: str, payload: dict) -> list:
+    """The (name, header, rows) of each data file `render_report` makes of an artifact."""
+    if stem == "k_estimate":
+        return [("k_estimate.dat", "m r beta",
+                 [(c["m"], c["r"], float(c["beta"])) for c in payload["cells"]])]
+    files = []
+    for rep in payload["reports"]:
+        for rec in rep["per_S"]:
+            base = f"decomposition_{_safe_name(rep['phi_id'])}_{_safe_name(rec['S_id'])}"
+            steps = range(1, len(rec["sequence"]) + 1)
+            bounds = [float(b) for b in rec["bounds"]]
+            files.append((f"{base}.dat", "k value bound",
+                          list(zip(steps, [float(v[0]) for v in rec["sequence"]], bounds))))
+            files.append((f"{base}_gap.dat", "k gap bound",
+                          list(zip(steps, [float(g) for g in rec["gaps"]], bounds))))
+    return files
+
+
 def render_report(out_dir) -> dict:
     """Emit plain-text plot data from the artifacts present in out_dir.
 
@@ -348,38 +361,22 @@ def render_report(out_dir) -> dict:
     value is the real part of the recovery sequence, and one with columns
     (k, gap, bound) for bound-versus-gap curves.  The k-estimate table is
     flattened to (m, r, beta) triples.  Missing artifacts are skipped with a
-    notice.
+    notice.  An artifact that is not valid JSON or lacks a field is refused
+    with a ConfigError naming its file, before any data file is written.
     """
     out = Path(out_dir)
-    written: list[str] = []
-    notices: list[str] = []
-
-    def write(name: str, header: str, rows):
+    files, notices = [], []
+    for stem in ("k_estimate", "decomposition"):
+        path = out / f"{stem}.json"
+        if not path.exists():
+            notices.append(f"no {stem.replace('_', '-')} artifact; skipped")
+            continue
+        try:
+            files.extend(_report_files(stem, json.loads(path.read_text(encoding="utf-8"))))
+        except (ValueError, KeyError, TypeError, IndexError) as err:
+            message = f"malformed artifact ({type(err).__name__}: {err})"
+            raise ConfigError(str(path), message) from None
+    for name, header, rows in files:
         lines = [header, *(" ".join(_fmt(v) for v in row) for row in rows)]
         (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(name)
-
-    k_path = out / "k_estimate.json"
-    if k_path.exists():
-        payload = json.loads(k_path.read_text(encoding="utf-8"))
-        write("k_estimate.dat", "m r beta",
-              [(c["m"], c["r"], float(c["beta"])) for c in payload["cells"]])
-    else:
-        notices.append("no k-estimate artifact; skipped")
-
-    d_path = out / "decomposition.json"
-    if d_path.exists():
-        payload = json.loads(d_path.read_text(encoding="utf-8"))
-        for rep in payload["reports"]:
-            for rec in rep["per_S"]:
-                stem = f"decomposition_{_safe_name(rep['phi_id'])}_{_safe_name(rec['S_id'])}"
-                steps = range(1, len(rec["sequence"]) + 1)
-                bounds = [float(b) for b in rec["bounds"]]
-                write(f"{stem}.dat", "k value bound",
-                      zip(steps, [float(v[0]) for v in rec["sequence"]], bounds))
-                write(f"{stem}_gap.dat", "k gap bound",
-                      zip(steps, [float(g) for g in rec["gaps"]], bounds))
-    else:
-        notices.append("no decomposition artifact; skipped")
-
-    return {"written": written, "notices": notices}
+    return {"written": [name for name, _, _ in files], "notices": notices}

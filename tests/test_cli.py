@@ -6,6 +6,9 @@ import copy
 import functools
 import json
 import operator
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -145,6 +148,15 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path)
+    code = run_cli("k-estimate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs)
+    assert code == 2
+    assert "config error: --jobs must be at least one" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = run_cli("gauge-check", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o"))
@@ -191,6 +203,9 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
      "functionals[0].singular_part.windows"),
     ("decompose", lambda c: c["functionals"][0]["singular_part"].update(states=[[[1.0]]]),
      "functionals[0].singular_part.states"),
+    ("decompose", lambda c: c["functionals"][0]["singular_part"].update(
+        windows=[[56, 57], [58, 59], [60, 61], [62, 63]], states=[[[0.5, 1.0], [-1.0, 0.5]]] * 4),
+     "functionals[0].singular_part.states"),
     ("gauge-check", lambda c: c["model"].update(parameters=[1.0, 0]), "model"),
     ("gauge-check", lambda c: c.update(model={"name": "diagonal-grid", "parameters": [0]}),
      "model"),
@@ -204,7 +219,7 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("k-estimate", lambda c: c["solver"].update(stop_tolerance=-1.0),
      "solver.stop_tolerance"),
 ], ids=["tail-window-start-after-end", "empty-tail-windows", "tail-states-count",
-        "lap-pos-zero-grid", "diagonal-grid-zero-steps",
+        "non-hermitian-tail-state", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
         "removed-step-rule", "dimension-beyond-memory", "diagonals-beyond-memory",
         "zero-step-scale", "negative-stop-tolerance"])
 def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
@@ -287,6 +302,22 @@ def test_cli_numerical_failure_is_a_failed_stage(tmp_path, capsys, stage, edit, 
     assert payload["passed"] is False
     assert payload["diagnostics"]
     assert payload["diagnostics"][0].startswith(diagnostic)
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    # pyproject's runtime dependencies are numpy only; the test extras must stay unloaded
+    script = (
+        "import sys\n"
+        "from commlab.cli import main\n"
+        f"code = main(['schedule', '--config', {write_config(tmp_path)!r},"
+        f" '--out', {str(tmp_path / 'o')!r}])\n"
+        "extras = ('scipy', 'jsonschema', 'hypothesis', 'pytest')\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in extras))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(commlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_subcommands_are_the_stage_table():
@@ -418,6 +449,19 @@ def test_report_on_empty_directory(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "notice" in out
     assert "wrote 0 data files" in out
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{not json", "JSONDecodeError"),
+    (json.dumps({"cells": [{"m": 4, "beta": 0.5}]}), "KeyError: 'r'"),
+], ids=["invalid-json", "missing-key"])
+def test_report_refuses_a_malformed_artifact(tmp_path, capsys, text, reason):
+    (tmp_path / "k_estimate.json").write_text(text, encoding="utf-8")
+    assert run_cli("report", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"artifact error: {tmp_path / 'k_estimate.json'}: malformed artifact ({reason}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k_estimate.json"]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -176,6 +176,10 @@ def test_tail_state_validation():
         # a weighted point mass is not a state unless its trace is one
         from commlab import TailStateSpec
         TailStateSpec(windows=((3, 3),), states=(np.array([[2.0]]),))
+    with pytest.raises(ValueError, match="hermitian"):
+        # its hermitian part is a density matrix, but its trace norm is sqrt(5),
+        # so the singular part's certified norm bound of one would be false
+        TailStateSpec(windows=((3, 4),), states=(np.array([[0.5, 1.0], [-1.0, 0.5]]),))
 
 
 def test_singular_depth_validation():

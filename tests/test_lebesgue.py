@@ -37,7 +37,7 @@ from commlab import (
     sup_gauge,
     tuple_gauge_norm,
 )
-from commlab import lebesgue, sampling
+from commlab import functionals, lebesgue, sampling
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -414,6 +414,53 @@ def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
     reports = decompose(phis, sched, tau, G2, ops)
     assert len(reports) == count
     assert [id(s) for s in calls] == [id(op.matrix) for op in ops]
+
+
+def test_decompose_forms_each_product_once(monkeypatch):
+    # every A_k S and every S reaches the trace part's evaluation: count the arrays
+    rng = np.random.default_rng(86)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phis = [FunctionalSpec(trace_part=random_trace_part(rng),
+                           singular_part=coordinate_tail_states(TAIL_RANGE)),
+            FunctionalSpec(trace_part=random_trace_part(rng))]
+    ops = sample_ops(tau, seed=87, count=3)
+    seen = []
+    original = functionals.eval_trace_part
+
+    def recording(tp, tau, s):
+        seen.append(s)
+        return original(tp, tau, s)
+
+    monkeypatch.setattr(functionals, "eval_trace_part", recording)
+    reports = decompose(phis, sched, tau, G2, ops)
+    assert all(r.status == "ok" for r in reports)
+    matrices = [id(op.matrix) for op in ops]
+    products = [s for s in seen if id(s) not in matrices]
+    assert len({id(s) for s in products}) == len(products)
+    assert len(products) == len(phis) * len(ops) * len(sched)
+    assert sorted(id(s) for s in seen if id(s) in matrices) == sorted(matrices * len(phis))
+
+
+def test_decompose_idempotence_gap_matches_a_two_pass_reference():
+    # the tail coordinates 13..20 lie past the first two caps and under the later
+    # floors, so the identity's recovery keeps its tail value 1 and the gap is nonzero
+    rng = np.random.default_rng(90)
+    tau = lap()
+    sched = build_schedule(tau, G2, [(4, 8), (8, 12), (24, 32), (32, 40),
+                                     (40, 48), (48, 56), (56, 64), (64, 72)])
+    tp = random_trace_part(rng)
+    phi = FunctionalSpec(trace_part=tp, singular_part=coordinate_tail_states(range(13, 21)))
+    ops = sample_ops(tau, seed=91, count=3)
+    (report,) = decompose([phi], sched, tau, G2, ops)
+    reference = 0.0
+    for rec, op in zip(report.per_s, ops):
+        if rec.limit is not None:
+            again = recover_ac_part(FunctionalSpec(trace_part=tp), sched, tau, op.matrix)
+            reference = max(reference, abs(again.limit - rec.limit))
+    assert report.per_s[0].limit is not None
+    assert report.idempotence_gap == reference
+    assert reference > 0.5
 
 
 def test_decompose_takes_no_n_sized_svd(monkeypatch):
