@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import (GaugeSpec, conjugate_gauge, gauge_norm, norm_value_and_subgradient,
-                     schatten)
+from .gauges import (GaugeSpec, _check_gauge, conjugate_gauge, gauge_norm,
+                     norm_value_and_subgradient, schatten)
 from .idealops import HermitianTuple, band_commutator, embed
 from .qau import _check_iterations
-from .sampling import SampleSpec, TestOperator, _check_gauge, generate_test_set
+from .sampling import SampleSpec, TestOperator, generate_test_set
 
 _TRACE_NORM = schatten(1.0)
 DETECTION_RUN = 5
@@ -43,7 +43,7 @@ def detect_limit(values, rule: str = "plain", tol: float = 1e-9) -> complex:
     plain: the last value, provided the final DETECTION_RUN consecutive
     deltas are below `tol` (so a finitely supported evaluation that has
     dropped to exact zero is detected as exactly zero).  cesaro: the same
-    detection applied to running averages.
+    detection applied to running averages.  A non-finite value never settles.
     """
     seq = [complex(v) for v in values]
     if rule == "cesaro":
@@ -53,8 +53,10 @@ def detect_limit(values, rule: str = "plain", tol: float = 1e-9) -> complex:
     if len(seq) < DETECTION_RUN + 1:
         raise NotConverged(
             f"need at least {DETECTION_RUN + 1} values, got {len(seq)}", values)
-    deltas = [abs(a - b) for a, b in zip(seq[-DETECTION_RUN:], seq[-DETECTION_RUN - 1:-1])]
-    if max(deltas) >= tol:
+    tail = seq[-DETECTION_RUN - 1:]
+    if bad := [v for v in tail if not np.isfinite(v)]:
+        raise NotConverged(f"non-finite value {bad[0]} in the final run", values)
+    if max(abs(a - b) for a, b in zip(tail[1:], tail)) >= tol:
         raise NotConverged(
             f"no stabilized tail of length {DETECTION_RUN} at tolerance {tol:g}", values)
     return seq[-1]
@@ -97,11 +99,11 @@ class TracePart:
         return cls(x=empty, ys=tuple(empty for _ in range(n)), gauge=gauge)
 
 
-def _check_margin(tp: TracePart, tau: HermitianTuple) -> int:
-    """The reach of tp on tau, refused when the tuple is too small or short of slots."""
+def _check_margin(tp: TracePart, tau: HermitianTuple, rows: int = 0) -> int:
+    """max(rows, the reach of tp on tau), refused when the tuple is too small or short of slots."""
     if len(tp.ys) != tau.n:
         raise ValueError(f"trace part carries {len(tp.ys)} commutator slots, tuple has {tau.n}")
-    need = tp.reach(tau.bandwidth)
+    need = max(rows, tp.reach(tau.bandwidth))
     if need > tau.dimension:
         raise ValueError(
             f"supports exceed instantiation: need dimension {need}, have {tau.dimension}")
@@ -292,9 +294,9 @@ def rows_read(phi, tau: HermitianTuple) -> np.ndarray:
     return np.unique(np.concatenate(rows)) if rows else np.zeros(0, dtype=int)
 
 
-def trace_part_norms(tp: TracePart, gauge: GaugeSpec) -> tuple[float, tuple[float, ...]]:
-    """(trace norm of X, conjugate-gauge norm of each Y_j, 0.0 for an empty one)."""
-    dual = conjugate_gauge(gauge)
+def trace_part_norms(tp: TracePart) -> tuple[float, tuple[float, ...]]:
+    """(trace norm of X, norm of each Y_j in the conjugate of tp's gauge, 0.0 for an empty one)."""
+    dual = conjugate_gauge(tp.gauge)
     x1 = gauge_norm(_TRACE_NORM, tp.x) if tp.x.size else 0.0
     return float(x1), tuple(gauge_norm(dual, y) if y.size else 0.0 for y in tp.ys)
 
@@ -340,8 +342,9 @@ class NormBounds:
 def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: GaugeSpec,
                            test_set: tuple[TestOperator, ...]) -> NormBounds:
     """Both norm brackets of phi, sampled on a test set drawn for tau in this gauge."""
-    _check_gauge(test_set, gauge)
-    x1, y_norms = trace_part_norms(phi.trace_part or TracePart.zero(tau.n, gauge), gauge)
+    tp = phi.trace_part or TracePart.zero(tau.n, gauge)
+    _check_gauge(gauge, trace_part=[tp], test_set=test_set)
+    x1, y_norms = trace_part_norms(tp)
     values = [_eval_split(phi, tau, op.matrix, strict=False)[0] for op in test_set]
     return _norm_bracket(phi, x1, y_norms, values, test_set)[2]
 
@@ -386,15 +389,13 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
 
     Lower: the largest normalized pairing against the sampled test set.
     """
-    _check_margin(tp, tau)
-    if window < 1 or window + tau.bandwidth > tau.dimension:
-        raise ValueError(f"window {window} infeasible at dimension {tau.dimension}")
-    if tp.support + tau.bandwidth > tau.dimension:
-        raise ValueError("supports exceed instantiation")
+    _check_gauge(gauge, trace_part=[tp])
+    if window < 1:
+        raise ValueError(f"window {window} is empty")
+    band = tau.bandwidth
+    work = _check_margin(tp, tau, max(window, tp.support) + band)
     _check_iterations(max_iterations)
     dual = conjugate_gauge(gauge)
-    band = tau.bandwidth
-    work = min(tau.dimension, max(window, tp.support) + band)
     ts = tau.corner(work).astype(np.complex128)
     xe = embed(tp.x, work)
     ye = np.stack([embed(y, work) for y in tp.ys])

@@ -76,6 +76,13 @@ class GaugeSpec:
         return f"{self.family}-{self.k}"
 
 
+def _check_gauge(gauge: GaugeSpec, **inputs) -> None:
+    """Refuse each named input (trace parts, test operators, schedules) carrying another gauge."""
+    for name, carriers in inputs.items():
+        if any(c.gauge != gauge for c in carriers):
+            raise ValueError(f"{name.replace('_', ' ')} is in another gauge than {gauge.label}")
+
+
 def schatten(p: float) -> GaugeSpec:
     return GaugeSpec(family=SCHATTEN, p=float(p))
 

@@ -169,15 +169,14 @@ class HermitianTuple:
         return tuple(self.corner(self.dimension))
 
     @classmethod
-    def from_matrices(cls, matrices, bandwidth: int | None = None) -> "HermitianTuple":
-        """The tuple of dense members, of bandwidth N - 1 unless one is declared."""
+    def from_matrices(cls, matrices) -> "HermitianTuple":
+        """The tuple of dense members, of bandwidth max |i - j| over their nonzero entries."""
         stack = np.array([np.asarray(m) for m in matrices])  # ValueError when ragged
         if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
             raise ValueError("a tuple is at least one square matrix, all of one dimension")
         dim = stack.shape[1]
-        b = dim - 1 if bandwidth is None else int(bandwidth)
-        if np.triu(stack, b + 1).any() or np.tril(stack, -b - 1).any():
-            raise ValueError(f"entry outside the declared bandwidth {b}")
+        _, i, j = np.nonzero(stack)
+        b = int(np.abs(i - j).max(initial=0))
         slot, row, col = _band(b, dim)
         diagonals = np.zeros((len(stack), 2 * b + 1, dim), dtype=stack.dtype)
         diagonals[:, slot, row] = stack[:, row, col]

@@ -24,10 +24,11 @@ from .functionals import (
     rows_read,
     trace_part_norms,
 )
-from .gauges import GaugeSpec, diagonal_or_none, gauge_norm, gauge_value, operator_norm
+from .gauges import (GaugeSpec, _check_gauge, diagonal_or_none, gauge_norm, gauge_value,
+                     operator_norm)
 from .idealops import HermitianTuple, commutator_tuple, embed
 from .qau import UnitElement, UnitSchedule, _member_norms
-from .sampling import TestOperator, _check_gauge
+from .sampling import TestOperator
 
 RESIDUAL_TOL = 1e-8
 ADDITIVITY_SLACK = 1e-6
@@ -82,14 +83,12 @@ def _recover(phi, schedule: UnitSchedule, tau: HermitianTuple, s):
     return RecoveryResult(sequence=tuple(values), limit=limit), traces
 
 
-def _trace_factors(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec, units):
+def _trace_factors(tp: TracePart, tau: HermitianTuple, units):
     """Per functional: `trace_part_norms`, and |X - X A|_1 for each unit
     (None when X vanishes), from A's cap block: X - X A vanishes outside its
     leading sx x c rectangle."""
-    if gauge != tp.gauge:
-        raise ValueError("gauge does not match the trace part")
     _check_margin(tp, tau)
-    x1, y_norms = trace_part_norms(tp, gauge)
+    x1, y_norms = trace_part_norms(tp)
     sx = tp.x.shape[0]
     x_terms = [None] * len(units)
     for i, unit in enumerate(units if sx and tp.x.any() else ()):
@@ -140,7 +139,8 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     the caller evaluates many units against the same S.  `decompose` sums
     the same factors, each taken once at the level it depends on.
     """
-    _, y_norms, (x_term,) = _trace_factors(tp, tau, gauge, [unit])
+    _check_gauge(gauge, trace_part=[tp])
+    _, y_norms, (x_term,) = _trace_factors(tp, tau, [unit])
     sm = np.asarray(s)
     if sm.shape != (tau.dimension,) * 2 or unit.dimension != tau.dimension:
         raise ValueError("operand or unit dimension does not match the tuple")
@@ -203,16 +203,14 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     becomes a diagnostic; a report fails exactly when it has diagnostics,
     per operator in test-set order, the additivity one last.  Each bound
     factor is formed once, at the level it depends on: per unit, per
-    operator or per functional.  The norms of S are those the TestOperators
-    carry: draw the test set for this tuple, in this gauge (another is refused).
+    operator or per functional.  The norms of the units and of S are those the
+    schedule and the TestOperators carry, which must be in this gauge.
     """
-    _check_gauge(test_set, gauge)
     phis = tuple(phis)
-    steps = schedule.steps
-    factors = [_trace_factors(phi.trace_part or TracePart.zero(tau.n, gauge), tau, gauge, steps)
-               for phi in phis]
-    member_norms = (schedule.member_norms if schedule.gauge == gauge
-                    else [_member_norms(tau, gauge, unit.block) for unit in steps])
+    tps = [phi.trace_part or TracePart.zero(tau.n, gauge) for phi in phis]
+    _check_gauge(gauge, trace_part=tps, schedule=[schedule], test_set=test_set)
+    steps, member_norms = schedule.steps, schedule.member_norms
+    factors = [_trace_factors(tp, tau, steps) for tp in tps]
     wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
     # one operator's N x N commutators at a time, all dropped before any recovery runs
     per_op = (commutator_tuple(tau, op.matrix) if any(wanted) else () for op in test_set)

@@ -37,7 +37,7 @@ EMPTY = np.zeros((0, 0), dtype=np.complex128)
 
 def diag_pair():
     """Single-operator tuple diag(0, 1) with zero bandwidth."""
-    return HermitianTuple.from_matrices([np.diag([0.0, 1.0])], bandwidth=0)
+    return HermitianTuple.from_matrices([np.diag([0.0, 1.0])])
 
 
 def random_block(rng, s):
@@ -61,6 +61,14 @@ def test_detect_limit_too_short():
     with pytest.raises(NotConverged) as err:
         detect_limit([1.0] * 5)
     assert err.value.sequence == (1.0,) * 5
+
+
+@pytest.mark.parametrize("values", [[1.0] * 5 + [np.nan], [1.0] + [np.inf] * 6],
+                         ids=["nan-last", "inf-run"])
+def test_detect_limit_refuses_non_finite_values(values):
+    # a delta to nan compares false against the tolerance, and inf - inf is nan
+    with pytest.raises(NotConverged, match="non-finite value"):
+        detect_limit(values)
 
 
 def test_detect_limit_unknown_rule():

@@ -128,14 +128,22 @@ def test_tuple_stores_diagonals_so_a_million_costs_what_256_does():
 
 
 def test_tuple_refuses_entries_outside_its_band_or_matrix():
-    with pytest.raises(ValueError, match="outside the declared bandwidth 1"):
-        HermitianTuple.from_matrices([np.ones((4, 4))], bandwidth=1)
     diagonals = np.zeros((1, 3, 4))
     diagonals[0, 2, 3] = 1.0  # T[3, 4] of a 4 x 4 matrix
     with pytest.raises(ValueError, match="outside the matrix"):
         HermitianTuple(diagonals)
     with pytest.raises(ValueError, match="shape"):
         HermitianTuple(np.zeros((1, 2, 4)))
+
+
+def test_dense_members_are_stored_by_the_band_of_their_entries():
+    # the band is the largest |i - j| over nonzero entries of any member
+    dense = instantiate_model(OperatorModelSpec(name="shift-parts"), 96).matrices
+    tau = HermitianTuple.from_matrices(dense)
+    assert tau.diagonals.shape == (2, 3, 96)
+    for c in (0, 1, 5, 96):
+        assert np.array_equal(tau.corner(c), np.stack([m[:c, :c] for m in dense]))
+    assert HermitianTuple.from_matrices([np.zeros((4, 4))]).diagonals.shape == (1, 1, 4)
 
 
 def test_tuple_field_is_read_from_the_entries():
@@ -172,7 +180,7 @@ def test_hermitian_tuple_rejects_non_hermitian():
 def test_hermitian_tuple_rejects_non_finite(entry):
     # |t - t^H| is NaN here, and NaN > tol is False: finiteness is its own check
     with pytest.raises(ValueError, match="finite"):
-        HermitianTuple.from_matrices([[[entry, 0.0], [0.0, 1.0]]], bandwidth=0)
+        HermitianTuple.from_matrices([[[entry, 0.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="finite"):
         HermitianTuple.from_matrices([np.eye(3), np.diag([1.0, entry, 2.0])])
 
@@ -236,7 +244,7 @@ def kernel_tuples():
         band2 = [np.where(np.abs(i - j) <= 2, random_hermitian(rng, dim), 0)
                  for _ in range(2)]
         tuples.append(pytest.param(
-            "band-2", HermitianTuple.from_matrices(band2, bandwidth=2), id="band-2" + suffix))
+            "band-2", HermitianTuple.from_matrices(band2), id="band-2" + suffix))
         dense = [random_hermitian(rng, dim) for _ in range(2)]
         tuples.append(pytest.param("dense", HermitianTuple.from_matrices(dense),
                                    id="dense" + suffix))

@@ -30,6 +30,7 @@ from commlab import (
     operator_norm,
     optimize_unit,
     projection_check,
+    quotient_norm_bounds,
     ramp_unit,
     recover_ac_part,
     recovery_error_bound,
@@ -357,9 +358,11 @@ def test_row_only_recovery_matches_dense_products(inside_case, name):
 
 @pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge()], ids=lambda g: g.label)
 def test_decompose_bounds_are_bitwise_those_of_recovery_error_bound(corner_case, gauge):
-    # the schedules were built in schatten-2: in the other gauges decompose
-    # takes the unit norms again instead of reading the carried ones
-    tau, schedules, operands, (x, y1, y2) = corner_case
+    # decompose reads the unit norms the schedules carry, so they are built in this gauge
+    tau, _, operands, (x, y1, y2) = corner_case
+    schedules = [build_schedule(tau, gauge, CORNER_WINDOWS),
+                 build_schedule(tau, gauge, CORNER_WINDOWS, mode="optimized-then-monotonized",
+                                max_iterations=40)]
     tp = TracePart(x=x, ys=(y1, y2), gauge=gauge)
     matrices = operands + [np.eye(CORNER_DIM)]
     ops = tuple(sampling.TestOperator(
@@ -675,6 +678,39 @@ def test_decompose_refuses_a_test_set_normed_in_another_gauge():
         decompose([phi], sched, tau, schatten(1), ops)
     with pytest.raises(ValueError, match="another gauge"):
         projection_check([phi, phi], sched, tau, schatten(1), ops)
+
+
+GAUGE_RULE_CASES = [(entry, carrier) for entry in ("decompose", "projection_check")
+                    for carrier in ("trace part", "test set", "schedule")] + [
+    ("recovery_error_bound", "trace part"), ("functional_norm_bounds", "trace part"),
+    ("functional_norm_bounds", "test set"), ("quotient_norm_bounds", "trace part")]
+
+
+@pytest.mark.parametrize("entry, carrier", GAUGE_RULE_CASES,
+                         ids=[f"{e}-{c.replace(' ', '-')}" for e, c in GAUGE_RULE_CASES])
+def test_entry_points_refuse_an_input_in_another_gauge(entry, carrier):
+    # the computation runs in schatten-2; only the named input is built in schatten-1
+    tau, rng = lap(), np.random.default_rng(91)
+
+    def gauge_of(name):
+        return schatten(1) if name == carrier else G2
+
+    tp = TracePart(x=random_block(rng, 3), ys=(random_block(rng, 3), EMPTY),
+                   gauge=gauge_of("trace part"))
+    phi = FunctionalSpec(trace_part=tp)
+    sched = build_schedule(tau, gauge_of("schedule"), WINDOWS)
+    ops = sample_ops(tau, seed=92, count=2, gauge=gauge_of("test set"))
+    calls = {
+        "decompose": lambda: decompose([phi], sched, tau, G2, ops),
+        "projection_check": lambda: projection_check([phi, phi], sched, tau, G2, ops),
+        "recovery_error_bound": lambda: recovery_error_bound(tp, tau, G2, sched.steps[0],
+                                                             ops[1].matrix),
+        "functional_norm_bounds": lambda: functional_norm_bounds(phi, tau, G2, ops),
+        "quotient_norm_bounds": lambda: quotient_norm_bounds(
+            tp, tau, G2, window=4, sample_spec=SampleSpec(seed=93, count=2)),
+    }
+    with pytest.raises(ValueError, match=f"{carrier} is in another gauge"):
+        calls[entry]()
 
 
 # ------------------------------------------------------------- projection

@@ -114,8 +114,7 @@ def test_ramp_window_validation():
 def phase_conjugate(tau, seed):
     """D T_j D* for a random diagonal unitary D: complex, banded, equivalent to tau."""
     d = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, tau.dimension))
-    return HermitianTuple.from_matrices(
-        [d[:, None] * t * d.conj() for t in tau.matrices], bandwidth=tau.bandwidth)
+    return HermitianTuple.from_matrices([d[:, None] * t * d.conj() for t in tau.matrices])
 
 
 @pytest.mark.parametrize("gauge", [schatten(2), sup_gauge()], ids=lambda g: g.label)
