@@ -240,7 +240,7 @@ def _tail(t: dict, path, dimension: int) -> TailStateSpec:
                  lambda err: "states" if "state" in err else "windows")
 
 
-def _functional(f: dict, path, index: int, n_ops: int, gauge: GaugeSpec,
+def _functional(f: dict, path, n_ops: int, gauge: GaugeSpec,
                 dimension: int, bandwidth: int) -> FunctionalSpec:
     """A parsed functional section, checked against the tuple it acts on."""
     trace_part = singular_part = None
@@ -261,7 +261,7 @@ def _functional(f: dict, path, index: int, n_ops: int, gauge: GaugeSpec,
     if trace_part is None and singular_part is None:
         raise ConfigError(path, "functional needs a trace part or a singular part")
     return FunctionalSpec(trace_part=trace_part, singular_part=singular_part,
-                          label=f.get("label", f"phi-{index}"))
+                          label=f.get("label", ""))
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def parse_config(data) -> ExperimentConfig:
                 raise ConfigError(f"windows.{key}[{i}]",
                                   f"cap {r} plus bandwidth {band} exceeds dimension {dimension}")
 
-    functionals = tuple(_functional(f, f"functionals[{i}]", i, model.n, gauges[0], dimension, band)
+    functionals = tuple(_functional(f, f"functionals[{i}]", model.n, gauges[0], dimension, band)
                         for i, f in enumerate(top.get("functionals", ())))
     sample = _make(SampleSpec, "test_set", {"seed": top["seed"], **top.get("test_set", {})})
     formats = top.get("outputs", {}).get("formats", FORMATS)

@@ -26,6 +26,7 @@ from .sampling import SampleSpec, TestOperator, generate_test_set
 
 _TRACE_NORM = schatten(1.0)
 DETECTION_RUN = 5
+DETECTION_TOL = 1e-9
 STATE_TOL = 1e-12
 
 
@@ -37,7 +38,7 @@ class NotConverged(Exception):
         self.sequence = tuple(complex(v) for v in sequence)
 
 
-def detect_limit(values, rule: str = "plain", tol: float = 1e-9) -> complex:
+def detect_limit(values, rule: str = "plain", tol: float = DETECTION_TOL) -> complex:
     """Detected limit of a finite sequence.
 
     plain: the last value, provided the final DETECTION_RUN consecutive
@@ -47,6 +48,8 @@ def detect_limit(values, rule: str = "plain", tol: float = 1e-9) -> complex:
     """
     seq = [complex(v) for v in values]
     if rule == "cesaro":
+        if bad := [v for v in seq if not np.isfinite(v)]:
+            raise NotConverged(f"non-finite value {bad[0]} before the running means", values)
         seq = list(np.cumsum(seq) / np.arange(1, len(seq) + 1))
     elif rule != "plain":
         raise ValueError(f"unknown limit rule {rule!r}")
@@ -154,7 +157,7 @@ class TailStateSpec:
     windows: tuple[tuple[int, int], ...]  # 1-based inclusive (lo, hi)
     states: tuple[np.ndarray, ...]
     limit_rule: str = "plain"
-    detection_tol: float = 1e-9
+    detection_tol: float = DETECTION_TOL
 
     def __post_init__(self):
         if self.limit_rule not in ("plain", "cesaro"):
@@ -186,7 +189,7 @@ class TailStateSpec:
 
 
 def coordinate_tail_states(positions, limit_rule: str = "plain",
-                           detection_tol: float = 1e-9) -> TailStateSpec:
+                           detection_tol: float = DETECTION_TOL) -> TailStateSpec:
     """One-point windows at the given (strictly increasing) positions."""
     one = np.ones((1, 1), dtype=np.complex128)
     positions = tuple(int(p) for p in positions)

@@ -50,8 +50,8 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s) -> Reco
     kills tail behaviour, so the limit is the trace-part value; the tail part
     contributes exactly zero at each step once its windows sit past the caps.
     A_k S vanishes outside its leading cap_r rows, and of those only the rows
-    phi reads (`rows_read`) are formed.  Detection uses the plain five-delta
-    rule shared with tail states.  To recover along fewer steps, pass a
+    phi reads (`rows_read`) are formed.  Detection takes `detect_limit`'s
+    defaults, shared with tail states.  To recover along fewer steps, pass a
     schedule built on fewer windows.
 
     Raises NotConverged carrying the recovery values: all of them when no
@@ -79,7 +79,7 @@ def _recover(phi, schedule: UnitSchedule, tau: HermitianTuple, s):
             raise NotConverged(f"step {k}: {err}", values) from None
         values.append(value)
         traces.append(trace)
-    limit = detect_limit(values, rule="plain", tol=1e-9)
+    limit = detect_limit(values)
     return RecoveryResult(sequence=tuple(values), limit=limit), traces
 
 
@@ -212,8 +212,9 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     steps, member_norms = schedule.steps, schedule.member_norms
     factors = [_trace_factors(tp, tau, steps) for tp in tps]
     wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
-    # one operator's N x N commutators at a time, all dropped before any recovery runs
-    per_op = (commutator_tuple(tau, op.matrix) if any(wanted) else () for op in test_set)
+    # N x N commutators one operator at a time, none where the carried norm is 0 (the identity)
+    per_op = (commutator_tuple(tau, op.matrix) if any(wanted) and op.commutator_norm else ()
+              for op in test_set)
     shrunk = [[_shrunk_norms(gauge, unit, ks, wanted) for unit in steps] for ks in per_op]
 
     reports = []
@@ -249,7 +250,7 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
                     if gap > RESIDUAL_TOL:
                         diagnostics.append(f"{op.op_id}: residual {gap:.3e} above tolerance")
             try:
-                again = detect_limit(traces, rule="plain", tol=1e-9)
+                again = detect_limit(traces)
             except NotConverged:
                 diagnostics.append(f"{op.op_id}: second-pass recovery did not converge")
             else:

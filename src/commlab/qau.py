@@ -246,7 +246,6 @@ class KCell:
 
 @dataclass(frozen=True)
 class KEstimateTable:
-    gauge: GaugeSpec
     floors: tuple[int, ...]
     caps: tuple[int, ...]
     cells: tuple[KCell, ...]
@@ -318,8 +317,7 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
               iterations=len(solved[(m, r)].trace) - 1, status=status[(m, r)])
         for m in floors for r in caps)
     estimate = max(min(beta[(m, r)] for r in caps) for m in floors)
-    return KEstimateTable(gauge=gauge, floors=floors, caps=caps,
-                          cells=cells, estimate=float(estimate))
+    return KEstimateTable(floors=floors, caps=caps, cells=cells, estimate=float(estimate))
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
     dim = tau.dimension
     eye = np.eye(dim, dtype=np.complex128)
     eye.setflags(write=False)
-    ops = [TestOperator(op_id="identity", matrix=eye, kind="random-hermitian",
+    ops = [TestOperator(op_id="identity", matrix=eye, kind="identity",
                         operator_norm=1.0, commutator_norm=0.0, gauge=gauge)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]

@@ -33,7 +33,6 @@ from commlab import (
     k_estimate,
     ky_fan,
     operator_norm,
-    pairing,
     parse_config,
     projection_check,
     quotient_norm_bounds,
@@ -43,7 +42,6 @@ from commlab import (
     schatten,
     sup_gauge,
 )
-from commlab.functionals import PredualElement
 
 GAUGES = [schatten(1), schatten(1.5), schatten(2), schatten(3),
           ky_fan(1), ky_fan(2), ky_fan(3), ky_fan(4), sup_gauge()]
@@ -353,7 +351,7 @@ def test_criterion_8_predual_quotient(capsys):
             ye[:6, :6] = y
             tc = t[:7, :7]
             x += tc @ ye - ye @ tc
-        pe = PredualElement(x=x, ys=tuple(ys), gauge=G2)
+        pe = TracePart(x=x, ys=tuple(ys), gauge=G2)
         bounds = quotient_norm_bounds(pe, tau, G2, window=12, sample_spec=samples)
         if bounds.upper > 1e-6:
             null_ok = False
@@ -362,15 +360,15 @@ def test_criterion_8_predual_quotient(capsys):
     duality_ok = True
     ops = generate_test_set(samples, tau, G2)
     for i in range(50):
-        pe = PredualElement(x=random_matrix(rng, 4),
-                            ys=(random_matrix(rng, 4), random_matrix(rng, 4)),
-                            gauge=G2)
+        pe = TracePart(x=random_matrix(rng, 4),
+                       ys=(random_matrix(rng, 4), random_matrix(rng, 4)),
+                       gauge=G2)
         bounds = quotient_norm_bounds(pe, tau, G2, window=10, sample_spec=samples,
                                       max_iterations=400)
         if bounds.lower > bounds.upper + 1e-6:
             sandwich_ok = False
         for op in ops:
-            if abs(pairing(pe, tau, op.matrix)) > \
+            if abs(eval_trace_part(pe, tau, op.matrix)) > \
                     bounds.upper * e_norm_max(tau, G2, op.matrix) + 1e-8:
                 duality_ok = False
     ok = null_ok and sandwich_ok and duality_ok

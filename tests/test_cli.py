@@ -373,6 +373,18 @@ def test_cli_seed_override_lands_in_summary(tmp_path):
     assert summary["seed"] == 99
 
 
+def test_decompose_labels_an_unlabelled_functional_by_its_place(tmp_path):
+    cfg = copy.deepcopy(BASE)
+    second = copy.deepcopy(cfg["functionals"][0])
+    del second["label"]
+    cfg["functionals"].append(second)
+    cfg["test_set"]["count"] = 2
+    out = tmp_path / "o"
+    assert run_cli("decompose", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 0
+    payload = json.loads((out / "decomposition.json").read_text(encoding="utf-8"))
+    assert [report["phi_id"] for report in payload["reports"]] == ["phi-a", "phi-1"]
+
+
 # -------------------------------------------------------------- artifacts
 
 

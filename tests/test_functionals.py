@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+import commlab
 from commlab import (
     FunctionalSpec,
     HermitianTuple,
     NotConverged,
     OperatorModelSpec,
-    PredualElement,
     SampleSpec,
     TracePart,
     combine,
@@ -24,7 +24,6 @@ from commlab import (
     gauge_value,
     generate_test_set,
     instantiate_model,
-    pairing,
     quotient_norm_bounds,
     reduce_to_trace,
     schatten,
@@ -63,12 +62,17 @@ def test_detect_limit_too_short():
     assert err.value.sequence == (1.0,) * 5
 
 
-@pytest.mark.parametrize("values", [[1.0] * 5 + [np.nan], [1.0] + [np.inf] * 6],
-                         ids=["nan-last", "inf-run"])
-def test_detect_limit_refuses_non_finite_values(values):
-    # a delta to nan compares false against the tolerance, and inf - inf is nan
+@pytest.mark.parametrize("values, rule", [
+    ([1.0] * 5 + [np.nan], "plain"),
+    ([1.0] + [np.inf] * 6, "plain"),
+    ([1.0] + [np.inf] * 6, "cesaro"),
+    ([1.0] * 3 + [-np.inf, np.inf] + [1.0] * 3, "cesaro"),
+], ids=["nan-last", "inf-run", "cesaro-inf-run", "cesaro-inf-pair"])
+def test_detect_limit_refuses_non_finite_values(values, rule):
+    # a delta to nan compares false against the tolerance, and inf - inf is nan;
+    # under cesaro the running means are not formed, so no warning is raised
     with pytest.raises(NotConverged, match="non-finite value"):
-        detect_limit(values)
+        detect_limit(values, rule=rule)
 
 
 def test_detect_limit_unknown_rule():
@@ -321,6 +325,12 @@ def test_norm_bounds_refuse_a_test_set_normed_in_another_gauge():
 # --------------------------------------------------------------- quotient
 
 
+def test_predual_aliases_are_the_trace_part_names():
+    # bench/ reads these aliases; the tests use the names they stand for
+    assert commlab.PredualElement is commlab.TracePart
+    assert commlab.pairing is commlab.eval_trace_part
+
+
 def test_quotient_null_element_certifies_zero():
     rng = np.random.default_rng(51)
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
@@ -330,7 +340,7 @@ def test_quotient_null_element_certifies_zero():
         ye = embed(y, 7)
         tc = t[:7, :7]
         x += tc @ ye - ye @ tc
-    pe = PredualElement(x=x, ys=tuple(ys), gauge=G2)
+    pe = TracePart(x=x, ys=tuple(ys), gauge=G2)
     bounds = quotient_norm_bounds(pe, tau, G2, window=12,
                                   sample_spec=SampleSpec(seed=9, count=6))
     assert bounds.upper <= 1e-6
@@ -339,7 +349,7 @@ def test_quotient_null_element_certifies_zero():
 
 def test_quotient_rank_one_is_pinned():
     tau = instantiate_model(OperatorModelSpec(name="diagonal-grid", n=2), 24)
-    pe = PredualElement(x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2)
+    pe = TracePart(x=np.array([[1.0]]), ys=(EMPTY, EMPTY), gauge=G2)
     bounds = quotient_norm_bounds(pe, tau, G2, window=10,
                                   sample_spec=SampleSpec(seed=10, count=6))
     assert bounds.lower == pytest.approx(1.0, abs=1e-6)
@@ -350,9 +360,9 @@ def test_quotient_sandwich_random_elements():
     rng = np.random.default_rng(52)
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
     for i in range(10):
-        pe = PredualElement(x=random_block(rng, 4),
-                            ys=(random_block(rng, 4), random_block(rng, 4)),
-                            gauge=G2)
+        pe = TracePart(x=random_block(rng, 4),
+                       ys=(random_block(rng, 4), random_block(rng, 4)),
+                       gauge=G2)
         bounds = quotient_norm_bounds(pe, tau, G2, window=10,
                                       sample_spec=SampleSpec(seed=60 + i, count=8))
         assert bounds.lower <= bounds.upper + 1e-6
@@ -361,12 +371,12 @@ def test_quotient_sandwich_random_elements():
 def test_quotient_duality_consistency():
     rng = np.random.default_rng(53)
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
-    pe = PredualElement(x=random_block(rng, 4),
-                        ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
+    pe = TracePart(x=random_block(rng, 4),
+                   ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
     spec = SampleSpec(seed=11, count=10)
     bounds = quotient_norm_bounds(pe, tau, G2, window=10, sample_spec=spec)
     for op in generate_test_set(spec, tau, G2):
-        lhs = abs(pairing(pe, tau, op.matrix))
+        lhs = abs(eval_trace_part(pe, tau, op.matrix))
         assert lhs <= bounds.upper * e_norm_max(tau, G2, op.matrix) + 1e-8
 
 
@@ -444,17 +454,17 @@ def test_quotient_matches_two_pass_reference(gauge, max_iterations):
     x = np.zeros((7, 7), dtype=np.complex128)
     for t, y in zip(tau.matrices, ys):
         x += band_commutator(t, embed(y, 7), tau.bandwidth)
-    cases = [(PredualElement(x=random_block(rng, 4),
-                             ys=(random_block(rng, 4), random_block(rng, 4)), gauge=gauge), 10)
+    cases = [(TracePart(x=random_block(rng, 4),
+                        ys=(random_block(rng, 4), random_block(rng, 4)), gauge=gauge), 10)
              for _ in range(2)]
-    cases.append((PredualElement(x=x, ys=tuple(ys), gauge=gauge), 12))
+    cases.append((TracePart(x=x, ys=tuple(ys), gauge=gauge), 12))
     ops = generate_test_set(spec, tau, gauge)
     for pe, window in cases:
         bounds = quotient_norm_bounds(pe, tau, gauge, window=window, sample_spec=spec,
                                       max_iterations=max_iterations)
         upper, iterations = two_pass_quotient(pe, tau, gauge, window, max_iterations)
-        lower = max(abs(pairing(pe, tau, op.matrix)) / max(op.operator_norm, op.commutator_norm)
-                    for op in ops)
+        lower = max(abs(eval_trace_part(pe, tau, op.matrix))
+                    / max(op.operator_norm, op.commutator_norm) for op in ops)
         assert bounds.lower == lower
         assert bounds.iterations == iterations
         assert abs(bounds.upper - upper) <= 1e-10 * abs(upper)
@@ -464,8 +474,8 @@ def test_quotient_takes_one_svd_per_iterate(monkeypatch):
     # schatten-2: one SVD for the start, one for the -y candidate, one per iterate
     rng = np.random.default_rng(55)
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
-    pe = PredualElement(x=random_block(rng, 4),
-                        ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
+    pe = TracePart(x=random_block(rng, 4),
+                   ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
     calls = []
     svd = np.linalg.svd
 
@@ -482,7 +492,7 @@ def test_quotient_takes_one_svd_per_iterate(monkeypatch):
 
 def test_quotient_refuses_negative_max_iterations():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 16)
-    pe = PredualElement(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)
+    pe = TracePart(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)
     with pytest.raises(ValueError, match="max_iterations"):
         quotient_norm_bounds(pe, tau, G2, window=4, sample_spec=SampleSpec(seed=1, count=2),
                              max_iterations=-1)
@@ -490,11 +500,11 @@ def test_quotient_refuses_negative_max_iterations():
 
 def test_quotient_window_validation():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 16)
-    pe = PredualElement(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)
+    pe = TracePart(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)
     with pytest.raises(ValueError):
         quotient_norm_bounds(pe, tau, G2, window=16,
                              sample_spec=SampleSpec(seed=1, count=2))
-    big = PredualElement(x=np.eye(16), ys=(EMPTY, EMPTY), gauge=G2)
+    big = TracePart(x=np.eye(16), ys=(EMPTY, EMPTY), gauge=G2)
     with pytest.raises(ValueError):
         quotient_norm_bounds(big, tau, G2, window=4,
                              sample_spec=SampleSpec(seed=1, count=2))

@@ -416,7 +416,9 @@ def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
     monkeypatch.setattr(lebesgue, "commutator_tuple", counting)
     reports = decompose(phis, sched, tau, G2, ops)
     assert len(reports) == count
-    assert [id(s) for s in calls] == [id(op.matrix) for op in ops]
+    # the identity's carried commutator norm is zero, so it takes none
+    assert [id(s) for s in calls] == [id(op.matrix) for op in ops if op.commutator_norm]
+    assert len(calls) == len(ops) - 1
 
 
 def test_decompose_forms_each_product_once(monkeypatch):
@@ -535,7 +537,7 @@ def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     (report,) = decompose([phi], sched, tau, G2, ops)
     assert report.status == ("failed" if report.diagnostics else "ok")
-    assert [op.kind for op in ops] == ["random-hermitian"] * 3
+    assert [op.kind for op in ops] == ["identity", "random-hermitian", "random-hermitian"]
     assert report.status == "ok"
     assert dim not in sizes
 
