@@ -375,8 +375,9 @@ class QuotientBounds:
 
 
 def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
-                         window: int, sample_spec: SampleSpec,
-                         max_iterations: int = 1500) -> QuotientBounds:
+                         window: int, sample_spec: SampleSpec | None = None,
+                         max_iterations: int = 1500,
+                         test_set: tuple[TestOperator, ...] | None = None) -> QuotientBounds:
     """Bracket the quotient norm of the class of tp.
 
     Upper: minimize |x + sum_j [T_j, w_j]|_1 + sum_j |y_j + w_j|_dual over
@@ -390,9 +391,13 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     representative, one SVD for its trace norm, one stacked dual norm and
     one broadcast commutator for the gradient.
 
-    Lower: the largest normalized pairing against the sampled test set.
+    Lower: the largest normalized pairing against the test set: a drawn
+    `test_set` in `gauge`, or the one `generate_test_set` draws from
+    `sample_spec`.  Exactly one of the two is given.
     """
-    _check_gauge(gauge, trace_part=[tp])
+    if (sample_spec is None) == (test_set is None):
+        raise ValueError("quotient_norm_bounds takes exactly one of sample_spec and test_set")
+    _check_gauge(gauge, trace_part=[tp], test_set=test_set or ())
     if window < 1:
         raise ValueError(f"window {window} is empty")
     band = tau.bandwidth
@@ -430,6 +435,6 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
         if best <= 1e-14:
             break
 
-    ops = generate_test_set(sample_spec, tau, gauge)
+    ops = test_set if sample_spec is None else generate_test_set(sample_spec, tau, gauge)
     lower, _, _ = sampled_lower([eval_trace_part(tp, tau, op.matrix) for op in ops], ops)
     return QuotientBounds(lower=float(lower), upper=float(best), iterations=iterations)

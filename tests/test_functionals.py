@@ -490,6 +490,30 @@ def test_quotient_takes_one_svd_per_iterate(monkeypatch):
     assert len(calls) == bounds.iterations + 2
 
 
+@pytest.mark.parametrize("gauge", [G2, schatten(1)], ids=lambda g: g.label)
+def test_quotient_drawn_test_set_gives_the_bracket_of_its_spec(gauge):
+    rng = np.random.default_rng(56)
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
+    spec = SampleSpec(seed=14, count=6, kinds=("random-hermitian", "banded"))
+    ops = generate_test_set(spec, tau, gauge)
+    for _ in range(3):
+        pe = TracePart(x=random_block(rng, 4),
+                       ys=(random_block(rng, 4), random_block(rng, 4)), gauge=gauge)
+        want = quotient_norm_bounds(pe, tau, gauge, window=10, sample_spec=spec,
+                                    max_iterations=20)
+        got = quotient_norm_bounds(pe, tau, gauge, window=10, test_set=ops, max_iterations=20)
+        assert got == want
+
+
+def test_quotient_takes_exactly_one_test_set_source():
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 16)
+    pe = TracePart(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)
+    spec = SampleSpec(seed=1, count=2)
+    for sources in ({}, {"sample_spec": spec, "test_set": generate_test_set(spec, tau, G2)}):
+        with pytest.raises(ValueError, match="exactly one of sample_spec and test_set"):
+            quotient_norm_bounds(pe, tau, G2, window=4, **sources)
+
+
 def test_quotient_refuses_negative_max_iterations():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 16)
     pe = TracePart(x=np.eye(2), ys=(EMPTY, EMPTY), gauge=G2)

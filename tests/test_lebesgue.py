@@ -685,7 +685,8 @@ def test_decompose_refuses_a_test_set_normed_in_another_gauge():
 GAUGE_RULE_CASES = [(entry, carrier) for entry in ("decompose", "projection_check")
                     for carrier in ("trace part", "test set", "schedule")] + [
     ("recovery_error_bound", "trace part"), ("functional_norm_bounds", "trace part"),
-    ("functional_norm_bounds", "test set"), ("quotient_norm_bounds", "trace part")]
+    ("functional_norm_bounds", "test set"), ("quotient_norm_bounds", "trace part"),
+    ("quotient_norm_bounds", "test set")]
 
 
 @pytest.mark.parametrize("entry, carrier", GAUGE_RULE_CASES,
@@ -708,8 +709,7 @@ def test_entry_points_refuse_an_input_in_another_gauge(entry, carrier):
         "recovery_error_bound": lambda: recovery_error_bound(tp, tau, G2, sched.steps[0],
                                                              ops[1].matrix),
         "functional_norm_bounds": lambda: functional_norm_bounds(phi, tau, G2, ops),
-        "quotient_norm_bounds": lambda: quotient_norm_bounds(
-            tp, tau, G2, window=4, sample_spec=SampleSpec(seed=93, count=2)),
+        "quotient_norm_bounds": lambda: quotient_norm_bounds(tp, tau, G2, window=4, test_set=ops),
     }
     with pytest.raises(ValueError, match=f"{carrier} is in another gauge"):
         calls[entry]()

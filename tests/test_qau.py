@@ -20,6 +20,7 @@ from commlab import (
     tuple_gauge_norm,
 )
 from commlab.idealops import embed
+from commlab.qau import PATIENCE
 
 LAP = OperatorModelSpec(name="lap-pos")
 GRID2 = OperatorModelSpec(name="diagonal-grid", n=2)
@@ -210,6 +211,42 @@ def test_degenerate_window_returns_projection():
     want = np.zeros((16, 16))
     want[:6, :6] = np.eye(6)
     assert np.array_equal(res.unit.matrix, want)
+    # the feasible set is one point, so no step can be taken
+    assert (res.iterations, res.stop_reason) == (0, "zero-gradient")
+
+
+@pytest.mark.parametrize("model, window, max_iterations, want", [
+    (GRID2, (3, 8), 100, (0, "tolerance")),  # the ramp commutes with a diagonal model
+    (LAP, (8, 16), 2000, (PATIENCE, "stall")),  # the ramp is never beaten here
+    (LAP, (4, 12), 5, (5, "budget")),
+    (LAP, (4, 12), 0, (0, "budget")),
+], ids=["tolerance", "stall", "budget", "budget-0"])
+def test_optimizer_reports_its_iterations_and_stop_reason(model, window, max_iterations, want):
+    res = optimize_unit(instantiate_model(model, 32), schatten(2), *window,
+                        max_iterations=max_iterations)
+    assert (res.iterations, res.stop_reason) == want
+    assert res.iterations == len(res.trace) - 1
+
+
+def test_optimizer_factors_each_commutator_once_per_iterate(monkeypatch):
+    # The start is valued as build_schedule values it: one value-only SVD per
+    # member.  Its argmax member's subgradient takes one full SVD, and each
+    # iterate one full SVD per member, which gives both its norm and its
+    # subgradient.
+    tau = instantiate_model(LAP, 64)
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    res = optimize_unit(tau, sup_gauge(), 4, 20, max_iterations=10)
+    assert res.iterations == 10
+    assert calls.count(False) == tau.n
+    assert calls.count(True) == 1 + tau.n * res.iterations
+    assert len(calls) == tau.n + 1 + tau.n * res.iterations
 
 
 def test_objective_convexity_surrogate():
@@ -247,13 +284,15 @@ def test_k_table_monotone_and_summary():
     assert all(c.beta >= 0.0 for c in table.cells)
 
 
+@pytest.mark.parametrize("gauge", [schatten(2), sup_gauge(), ky_fan(3)], ids=lambda g: g.label)
 @pytest.mark.parametrize("jobs", [2, 3], ids=lambda j: f"jobs-{j}")
-def test_k_table_deterministic_under_jobs(jobs):
-    # more cells than workers, handed out largest cap first
+def test_k_table_deterministic_under_jobs(jobs, gauge):
+    # more cells than workers, handed out largest cap first; every gauge but
+    # schatten-2 takes its SVDs in the workers
     tau = instantiate_model(LAP, 48)
     grid = dict(floors=[4, 8], caps=[12, 20, 28], max_iterations=120)
-    serial = k_estimate(tau, schatten(2), **grid)
-    threaded = k_estimate(tau, schatten(2), **grid, jobs=jobs)
+    serial = k_estimate(tau, gauge, **grid)
+    threaded = k_estimate(tau, gauge, **grid, jobs=jobs)
     assert serial.cells == threaded.cells
     assert serial.estimate == threaded.estimate
 
