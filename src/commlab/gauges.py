@@ -149,6 +149,27 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 _LARGEST = float(np.finfo(float).max)
 
 
+def _largest_parts(m: np.ndarray) -> np.ndarray:
+    """The largest |real or imaginary part| of each matrix on the last two axes, 0 when empty.
+
+    max and min land on any nan, so it is finite exactly when the entries are; a
+    matrix with a non-finite entry is refused here.
+    """
+    parts = np.ascontiguousarray(m)
+    if parts.dtype.kind == "c":
+        parts = parts.view(parts.real.dtype)  # real and imaginary parts side by side
+    top = np.maximum(parts.max(axis=(-2, -1), initial=0.0),
+                     -parts.min(axis=(-2, -1), initial=0.0))
+    if not np.isfinite(top).all():
+        raise ValueError("matrix entries must be finite")
+    return top
+
+
+def _power_of_two_at(top: np.ndarray) -> np.ndarray:
+    """The power of two 2**e with 2**e <= top < 2**(e + 1); 0.5 for top = 0."""
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
 def _divide(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """m / scale, for one scale or one per slice of a stack (shape (n, 1, 1)).
 
@@ -182,17 +203,48 @@ def _frobenius(m: np.ndarray) -> float:
     return s * float(np.linalg.norm(_divide(m, scale)))
 
 
+def _svd_scales(m: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """What to divide each matrix of m by, from its singular values s, or None for none.
+
+    A gauge value is at most c * sigma_1, so it stays in range where sigma_1 is at
+    most half the largest float over c: those matrices keep the bits of their direct
+    SVD (scale 1.0).  Where sigma_1 exceeds that, or came out nan or inf, as LAPACK
+    returns it once a singular value overflows, the scale is the power of two at the
+    matrix's largest part.
+    """
+    limit = _LARGEST / 2 / max(m.shape[-1], 1)
+    if s.max(initial=0.0) <= limit:  # false for nan
+        return None
+    return np.where(s[..., 0] <= limit, 1.0, _power_of_two_at(_largest_parts(m)))
+
+
+def _scaled_singular_values(matrix) -> tuple[np.ndarray, float]:
+    """The nonincreasing singular values of M / scale, and the scale of `_svd_scales`."""
+    m = _finite(_square(matrix))
+    s = np.linalg.svd(m, compute_uv=False)
+    scale = _svd_scales(m, s)
+    if scale is None:
+        return s, 1.0
+    return np.linalg.svd(_divide(m, scale), compute_uv=False), float(scale)
+
+
 def singular_values(matrix) -> np.ndarray:
-    """Nonincreasing singular values of a square matrix."""
-    return np.linalg.svd(_finite(_square(matrix)), compute_uv=False)
+    """Nonincreasing singular values of a square matrix; inf where one exceeds the float range."""
+    s, scale = _scaled_singular_values(matrix)
+    if scale == 1.0:
+        return s
+    with np.errstate(over="ignore"):  # a singular value beyond the float range is inf
+        return s * scale
 
 
 def gauge_norm(gauge: GaugeSpec, matrix) -> float:
-    """Gauge norm of a matrix: the gauge applied to its singular values."""
+    """Gauge norm of a matrix: the gauge applied to its singular values; inf beyond the float range."""
     if gauge.family == SCHATTEN and gauge.p == 2:
         # Frobenius route, identical value without the factorization.
         return _frobenius(_square(matrix))
-    return gauge_value(gauge, singular_values(matrix))
+    s, scale = _scaled_singular_values(matrix)
+    # python floats: a value beyond the float range becomes inf without a warning
+    return gauge_value(gauge, s) * scale
 
 
 def support_size(matrix: np.ndarray) -> int:
@@ -230,7 +282,7 @@ def operator_norm(matrix) -> float:
     if np.array_equal(corner, corner.conj().T):
         lam = np.linalg.eigvalsh(corner)
         return float(max(-lam[0], lam[-1]))
-    return float(np.linalg.svd(corner, compute_uv=False)[0])
+    return float(singular_values(corner)[0])
 
 
 def conjugate_gauge(gauge: GaugeSpec) -> GaugeSpec:
@@ -274,11 +326,15 @@ def norm_value_and_subgradient(gauge: GaugeSpec,
     """The gauge norm of M and a dual-aligned subgradient D, from one factorization.
 
     Re<D, M> = |M|_gauge and D has conjugate gauge norm at most one; D = 0
-    when M vanishes.  Schatten-2 takes D = M / |M|_F with no SVD; other
-    gauges take D = U f(sigma) V* and read the value from the SVD's sorted
-    sigma.  D is real when M is.  M may be a stack of shape (n, c, c): then
-    the values come as an array and D as a stack, each slice with the bits
-    of its own call.
+    when M vanishes.  Schatten-2 takes D = M / |M|_F with no factorization.
+    The sup gauge takes sigma_1 and D = u v* from one `eigh` of the Gram
+    matrix M*M: v is its top eigenvector, sigma_1 = sqrt(lambda_max) and
+    u = M v / sigma_1, so no SVD and no c x c x c product is formed.  The
+    other gauges need every singular vector: D = U f(sigma) V* from one SVD,
+    with the value read from its sorted sigma.  A value beyond the float
+    range is inf, with a finite D.  D is real when M is.  M may be a stack
+    of shape (n, c, c): then the values come as an array and D as a stack,
+    each slice with the bits of its own call.
     """
     m = _square(matrix, ndims=(2, 3))
     m = m.astype(np.promote_types(m.dtype, float), copy=False)
@@ -286,11 +342,36 @@ def norm_value_and_subgradient(gauge: GaugeSpec,
     if gauge.family == SCHATTEN and gauge.p == 2:
         values = [_frobenius(x) for x in stack]
         d = _divide(stack, np.array([v if v > 0.0 else 1.0 for v in values]).reshape(-1, 1, 1))
+    elif gauge.family == SUP:
+        values, d = _sup_value_and_subgradient(stack)
     else:
         u, s, vh = np.linalg.svd(_finite(stack))
+        scales = _svd_scales(stack, s)
+        if scales is not None:
+            u, s, vh = np.linalg.svd(_divide(stack, scales.reshape(-1, 1, 1)))
         values = [_sorted_gauge_value(gauge, x) for x in s]
         d = (u * _subgradient_weights(gauge, s, values)[:, None, :]) @ vh
+        if scales is not None:
+            # python floats: a value beyond the float range becomes inf without a warning
+            values = [v * float(k) for v, k in zip(values, scales)]
     return (np.array(values), d) if m.ndim == 3 else (values[0], d[0])
+
+
+def _sup_value_and_subgradient(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """sigma_1 and D = u v* of each slice, from one `eigh` of its Gram matrix.
+
+    Each slice is first divided by the power of two at its largest part, exactly,
+    so that its Gram matrix neither overflows nor underflows.
+    """
+    scales = _power_of_two_at(_largest_parts(stack))
+    x = _divide(stack, scales.reshape(-1, 1, 1))
+    lam, w = np.linalg.eigh(x.conj().transpose(0, 2, 1) @ x)
+    sigma = np.sqrt(lam.max(axis=-1, initial=0.0))  # 0 for a 0 x 0 slice
+    v = w[:, :, -1:]  # the top eigenvectors, as columns
+    u = (x @ v) / np.where(sigma > 0.0, sigma, 1.0).reshape(-1, 1, 1)  # 0 where M vanishes
+    d = u * v.conj().transpose(0, 2, 1)
+    # python floats: a value beyond the float range becomes inf without a warning
+    return [float(s) * float(k) for s, k in zip(sigma, scales)], d
 
 
 def _subgradient_weights(gauge: GaugeSpec, s: np.ndarray, values: list[float]) -> np.ndarray:
@@ -303,12 +384,10 @@ def _subgradient_weights(gauge: GaugeSpec, s: np.ndarray, values: list[float]) -
     f = np.zeros_like(s)
     if gauge.family == KY_FAN:
         f[:, : gauge.k] = 1.0
-    elif gauge.family == KY_FAN_DUAL:
+    else:  # ky-fan-dual
         top = s[:, :1] >= s.sum(axis=1, keepdims=True) / gauge.k
         f[:] = np.where(top, 0.0, 1.0 / gauge.k)
         f[:, :1] += top
-    else:  # sup
-        f[:, :1] = 1.0
     return f * (s[:, :1] > 0.0)
 
 

@@ -220,6 +220,102 @@ def test_stacked_value_and_subgradient_match_the_slices_bitwise(g):
             assert float(np.vdot(dm, m).real) == pytest.approx(value, rel=1e-12, abs=1e-321)
 
 
+# finite matrices with a singular value or a gauge value beyond the float range
+BEYOND_RANGE_CASES = {
+    "complex-entry": np.diag([1.5e308 + 1.5e308j, 1.0]),  # |entry| overflows
+    "real-rank-one": np.full((2, 2), 1e308),  # sigma_1 = 2e308
+    "real-hadamard": np.array([[1.0, 1.0], [1.0, -1.0]]) * (1e308 / np.sqrt(2)),  # 1e308 twice
+}
+
+
+@pytest.mark.parametrize("g", [schatten(1), schatten(3), ky_fan(1), ky_fan(2), ky_fan_dual(2),
+                               sup_gauge()], ids=lambda g: g.label)
+@pytest.mark.parametrize("case", BEYOND_RANGE_CASES)
+def test_norms_beyond_the_float_range_are_inf_not_nan(g, case):
+    # LAPACK returns nan, or an infinite sigma_1 with a spectrum of rounding noise,
+    # once a singular value overflows; the result is rescaled by a power of two
+    m = BEYOND_RANGE_CASES[case]
+    scaled = m / 2.0 ** 1000  # the same matrix well inside the range
+    want = gauge_norm(g, scaled) * 2.0 ** 1000  # python floats: inf beyond the range
+    value, d = norm_value_and_subgradient(g, m)
+    assert gauge_norm(g, m) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert np.isfinite(d).all()
+    assert float(np.vdot(d, scaled).real) == pytest.approx(gauge_norm(g, scaled), rel=1e-12)
+    sigma = singular_values(m)
+    assert np.isfinite(sigma[1:]).all() and sigma[0] == pytest.approx(
+        float(singular_values(scaled)[0]) * 2.0 ** 1000, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [schatten(1), ky_fan_dual(2), sup_gauge()], ids=lambda g: g.label)
+def test_in_range_norms_keep_the_bits_of_the_direct_svd(g):
+    # the rescale is taken only beyond the range, decided from the direct SVD
+    rng = np.random.default_rng(21)
+    for scale in (1.0, 1e200, 1e-200, 1e-310):
+        m = scale * random_matrix(rng, 6)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.array_equal(singular_values(m), s)
+        assert gauge_norm(g, m) == gauge_value(g, s)
+
+
+def power_of_two_scaled(m):
+    """M / 2**e, exactly, for 2**e at its largest real or imaginary part (M itself if 0)."""
+    top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    e = int(np.frexp(top)[1])
+    if np.iscomplexobj(m):
+        return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
+    return np.ldexp(m, -e)
+
+
+def sup_route_cases():
+    """Matrices for the sup gauge's Gram route, by name."""
+    rng = np.random.default_rng(22)
+    real, cplx = rng.standard_normal((7, 7)), random_matrix(rng, 7)
+    subnormal = np.zeros((3, 3), dtype=np.complex128)
+    subnormal[0, 1], subnormal[2, 0] = 3e-320, 4e-320j
+    return {"real": real, "complex": cplx,
+            # [T, A] of real symmetric T and A is antisymmetric: sigma_1 is double
+            "antisymmetric": real - real.T, "complex-antisymmetric": cplx - cplx.T,
+            "rank-one": np.outer(cplx[0], cplx[1]), "zero": np.zeros((4, 4)),
+            "empty": np.zeros((0, 0)), "1e200": 1e200 * cplx, "1e-200": 1e-200 * real,
+            "subnormal": subnormal, "overflow": np.diag([1.5e308 + 1.5e308j, 1.0])}
+
+
+def check_sup_route(m):
+    """The sup value and D: the SVD's value, Re<D, M> = value, |D|_1 <= 1."""
+    value, d = norm_value_and_subgradient(sup_gauge(), m)
+    want = gauge_norm(sup_gauge(), m)
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert d.shape == m.shape and d.dtype == np.promote_types(m.dtype, float)
+    # Re<D, M> on M scaled by an exact power of two, so that the pairing of a subnormal
+    # or an overflowing M keeps its relative precision; D is the same for both
+    scaled = power_of_two_scaled(m)
+    pairing = float(np.vdot(d, scaled).real)
+    assert pairing == pytest.approx(gauge_norm(sup_gauge(), scaled), rel=1e-12, abs=0.0)
+    assert np.linalg.svd(d, compute_uv=False).sum() <= 1.0 + 1e-12
+    return value, d
+
+
+@pytest.mark.parametrize("case", sup_route_cases())
+def test_sup_value_and_subgradient_from_the_gram_matrix(case):
+    m = sup_route_cases()[case]
+    value, d = check_sup_route(m)
+    if np.finfo(float).tiny < value < np.inf:  # Re<D, M> on M itself
+        assert float(np.vdot(d, m).real) == pytest.approx(value, rel=1e-12, abs=0.0)
+    if not m.any():
+        assert value == 0.0 and not d.any()
+    if case == "overflow":
+        assert value == np.inf
+
+
+def test_sup_value_and_subgradient_on_random_draws():
+    rng = np.random.default_rng(23)
+    for draw in range(300):
+        dim = int(rng.integers(1, 41))
+        m = random_matrix(rng, dim, complex_entries=bool(draw % 2))
+        check_sup_route(m - m.T if draw % 3 == 0 else m)
+
+
 def test_gauge_value_rejects_negative_entries():
     with pytest.raises(ValueError):
         gauge_value(schatten(1), [1.0, -0.5])

@@ -180,10 +180,12 @@ def test_optimizer_trace_is_monotone_in_best():
 
 
 def test_optimizer_moves_on_a_huge_tuple():
-    # the subgradient's norm overflows a plain sum of squares at this scale
+    # the subgradient's norm overflows a plain sum of squares at this scale, and
+    # so would the Gram matrix of the sup gauge's commutators without its rescale
     tau = instantiate_model(OperatorModelSpec(name="lap-pos", parameters=(1e300, 400)), 32)
-    res = optimize_unit(tau, schatten(2), 2, 8)
-    assert len({value for _, value, _ in res.trace}) > 1
+    for gauge in (schatten(2), sup_gauge()):
+        res = optimize_unit(tau, gauge, 2, 8)
+        assert len({value for _, value, _ in res.trace}) > 1, gauge.label
 
 
 @pytest.mark.parametrize("solve", [
@@ -230,23 +232,32 @@ def test_optimizer_reports_its_iterations_and_stop_reason(model, window, max_ite
 
 def test_optimizer_factors_each_commutator_once_per_iterate(monkeypatch):
     # The start is valued as build_schedule values it: one value-only SVD per
-    # member.  Its argmax member's subgradient takes one full SVD, and each
-    # iterate one full SVD per member, which gives both its norm and its
-    # subgradient.
+    # member.  The sup subgradient takes no SVD but one eigh of the Gram
+    # matrix of a (cap + bandwidth)-sized commutator: one for the start's
+    # argmax member, then one per member per iterate, which gives both its
+    # norm and its subgradient.  The window projection's eigh of the
+    # (cap - floor)-sized tail is told apart by its shape.
     tau = instantiate_model(LAP, 64)
-    calls = []
-    svd = np.linalg.svd
+    floor_m, cap_r = 4, 20
+    svd_calls, eigh_sizes = [], []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
     def recording_svd(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
+        svd_calls.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
 
+    def recording_eigh(a, *args, **kwargs):
+        eigh_sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    res = optimize_unit(tau, sup_gauge(), 4, 20, max_iterations=10)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    res = optimize_unit(tau, sup_gauge(), floor_m, cap_r, max_iterations=10)
     assert res.iterations == 10
-    assert calls.count(False) == tau.n
-    assert calls.count(True) == 1 + tau.n * res.iterations
-    assert len(calls) == tau.n + 1 + tau.n * res.iterations
+    assert svd_calls == [False] * tau.n
+    assert eigh_sizes.count(cap_r + tau.bandwidth) == 1 + tau.n * res.iterations
+    assert eigh_sizes.count(cap_r - floor_m) == res.iterations
+    assert len(eigh_sizes) == 1 + (tau.n + 1) * res.iterations
 
 
 def test_objective_convexity_surrogate():
@@ -260,6 +271,61 @@ def test_objective_convexity_surrogate():
         fb = tuple_gauge_norm(commutator_tuple(tau, b), g)
         mix = tuple_gauge_norm(commutator_tuple(tau, lam * a + (1 - lam) * b), g)
         assert mix <= lam * fa + (1 - lam) * fb + 1e-9
+
+
+# ---------------------------------------------------------- shift pairing
+#
+# V, the truncated unilateral shift, pairs every feasible unit to a constant:
+# Tr(V*[V, A]) = Tr(A(I - V V*)) = A_00 = 1 and Tr(V*[V*, A]) = 0.  [T_j, A]
+# lives on indices m - 1 .. r, where V* has r - m + 1 ones, so Hoelder gives
+# max_j |[T_j, A]|_p >= c / (r - m + 1)^(1 - 1/p) for any solver: c = s for
+# lap-pos, whose second member is s (2I - V - V*), and c = 1/2 for
+# shift-parts, whose members give V = T_1 + i T_2.
+
+SHIFT_PAIRING = {"lap-pos": (OperatorModelSpec(name="lap-pos", parameters=(2.5, 400)), 2.5),
+                 "shift-parts": (OperatorModelSpec(name="shift-parts"), 0.5)}
+PAIRING_GAUGES = [schatten(1), schatten(2), sup_gauge()]
+
+
+def shift_pairing_bound(c, gauge, floor_m, cap_r):
+    exponent = 1.0 if gauge == sup_gauge() else 1.0 - 1.0 / gauge.p
+    return c / (cap_r - floor_m + 1) ** exponent
+
+
+def random_unit(rng, floor_m, cap_r):
+    """A random feasible cap block: I_m (+) C with 0 <= C <= I, complex."""
+    block = np.zeros((cap_r, cap_r), dtype=np.complex128)
+    block[:floor_m, :floor_m] = np.eye(floor_m)
+    block[floor_m:, floor_m:] = random_feasible_block(rng, cap_r - floor_m, cap_r - floor_m)
+    return block
+
+
+@pytest.mark.parametrize("gauge", PAIRING_GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("model", SHIFT_PAIRING)
+def test_shift_pairing_bounds_every_unit_from_below(model, gauge):
+    spec, c = SHIFT_PAIRING[model]
+    tau = instantiate_model(spec, 128)
+    floors, caps = [4, 8], [16, 32, 48]
+    rng = np.random.default_rng(24)
+    table = k_estimate(tau, gauge, floors, caps, max_iterations=300)
+    for m in floors:
+        for r in caps:
+            bound = shift_pairing_bound(c, gauge, m, r) * (1 - 1e-12)
+            ramp = build_schedule(tau, gauge, [(m, r)]).commutator_norms[0]
+            assert bound <= table.cell(m, r).beta <= ramp
+            for _ in range(3):
+                a = embed(random_unit(rng, m, r), tau.dimension)
+                assert tuple_gauge_norm(commutator_tuple(tau, a), gauge) >= bound
+
+
+def test_criterion_4_trace_table_lies_between_the_pairing_and_the_ramp():
+    # criterion 4's schatten-1 table on lap-pos (s = 1): every cell in [s, ramp]
+    tau = instantiate_model(LAP, 400)
+    caps = [20, 40, 80, 160]
+    table = k_estimate(tau, schatten(1), floors=[10], caps=caps, jobs=2)
+    for r in caps:
+        ramp = build_schedule(tau, schatten(1), [(10, r)]).commutator_norms[0]
+        assert 1.0 <= table.cell(10, r).beta <= ramp
 
 
 # -------------------------------------------------------------- k tables
