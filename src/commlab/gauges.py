@@ -139,97 +139,72 @@ def _square(matrix, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     return m
 
 
-def _finite(m: np.ndarray) -> np.ndarray:
-    if m.size and not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 _SMALLEST_NORMAL = np.finfo(float).tiny
 _LARGEST = float(np.finfo(float).max)
+_SMALLEST_SQUARABLE = math.sqrt(_SMALLEST_NORMAL / np.finfo(float).eps)  # about 1.5e-146
 
 
-def _largest_parts(m: np.ndarray) -> np.ndarray:
-    """The largest |real or imaginary part| of each matrix on the last two axes, 0 when empty.
+def _range_scale(m: np.ndarray, squares: bool) -> float:
+    """What to divide the matrix m by so that its norm is taken in the float range.
 
-    max and min land on any nan, so it is finite exactly when the entries are; a
-    matrix with a non-finite entry is refused here.
-    """
-    parts = np.ascontiguousarray(m)
-    if parts.dtype.kind == "c":
-        parts = parts.view(parts.real.dtype)  # real and imaginary parts side by side
-    top = np.maximum(parts.max(axis=(-2, -1), initial=0.0),
-                     -parts.min(axis=(-2, -1), initial=0.0))
-    if not np.isfinite(top).all():
-        raise ValueError("matrix entries must be finite")
-    return top
-
-
-def _power_of_two_at(top: np.ndarray) -> np.ndarray:
-    """The power of two 2**e with 2**e <= top < 2**(e + 1); 0.5 for top = 0."""
-    return np.ldexp(1.0, np.frexp(top)[1] - 1)
-
-
-def _divide(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """m / scale, for one scale or one per slice of a stack (shape (n, 1, 1)).
-
-    numpy divides a complex array through 1/scale, which overflows for a
-    subnormal scale; slices with such a scale are divided part by part.
-    """
-    if not np.iscomplexobj(m) or scale.min() >= _SMALLEST_NORMAL:
-        return m / scale
-    normal = scale >= _SMALLEST_NORMAL
-    return np.where(normal, m / np.where(normal, scale, 1.0),
-                    m.real / scale + 1j * (m.imag / scale))
-
-
-def _frobenius(m: np.ndarray) -> float:
-    """|M|_F, rescaled only when the direct sum of squares would over- or underflow.
-
-    It is decided before any sum from the largest real or imaginary part, which stays
-    finite where the largest modulus overflows (argmax and argmin: no temporary array).
-    The scale is finite exactly when the entries are: argmax and argmin land on any nan.
+    Decided before any factorization from the largest real or imaginary part s of
+    m's n entries (argmax and argmin: no temporary array; they land on any nan, so s
+    is finite exactly when the entries are, and a non-finite entry is refused).  An
+    SVD is in range when 2 n s is at most the largest float, so that no gauge value
+    can overflow; a route that sums squares (Frobenius, Gram) also needs 2 n s**2
+    finite and s >= sqrt(tiny / eps), so that no square goes subnormal.  In range,
+    or for a zero matrix, the scale is 1.0 and the matrix keeps its bits; otherwise
+    it is the power of two at s, which divides m exactly.
     """
     x = m.ravel()
     parts = x.view(x.real.dtype) if x.dtype.kind == "c" else x  # real and imaginary parts
-    scale = max(parts[parts.argmax()], -parts[parts.argmin()]) if parts.size else 0.0
-    s = float(scale)  # python floats: these products may overflow without a warning
+    s = float(max(parts[parts.argmax()], -parts[parts.argmin()])) if parts.size else 0.0
     if not math.isfinite(s):
         raise ValueError("matrix entries must be finite")
-    if s * s > 0.0 and s * s * parts.size <= _LARGEST / 2:
-        return float(np.linalg.norm(m))
-    if s == 0.0:
-        return s
-    return s * float(np.linalg.norm(_divide(m, scale)))
+    # python floats: these products may overflow without a warning; for s < 1,
+    # 2 n s is always in range, and for s >= 1 it is at most 2 n s**2
+    if squares:
+        in_range = 2 * x.size * s * s <= _LARGEST and s >= _SMALLEST_SQUARABLE
+    else:
+        in_range = 2 * x.size * s <= _LARGEST
+    if s == 0.0 or in_range:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(s)[1] - 1)
 
 
-def _svd_scales(m: np.ndarray, s: np.ndarray) -> np.ndarray | None:
-    """What to divide each matrix of m by, from its singular values s, or None for none.
+def _divide(m: np.ndarray, scale: float) -> np.ndarray:
+    """m / scale, and m itself for scale 1.0.
 
-    A gauge value is at most c * sigma_1, so it stays in range where sigma_1 is at
-    most half the largest float over c: those matrices keep the bits of their direct
-    SVD (scale 1.0).  Where sigma_1 exceeds that, or came out nan or inf, as LAPACK
-    returns it once a singular value overflows, the scale is the power of two at the
-    matrix's largest part.
+    numpy divides a complex array through 1/scale, which overflows for a
+    subnormal scale; then m is divided part by part.
     """
-    limit = _LARGEST / 2 / max(m.shape[-1], 1)
-    if s.max(initial=0.0) <= limit:  # false for nan
-        return None
-    return np.where(s[..., 0] <= limit, 1.0, _power_of_two_at(_largest_parts(m)))
+    if scale == 1.0:
+        return m
+    if scale >= _SMALLEST_NORMAL or not np.iscomplexobj(m):
+        return m / scale
+    return m.real / scale + 1j * (m.imag / scale)
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """|M|_F, from M divided by its `_range_scale`."""
+    scale = _range_scale(m, squares=True)
+    # python floats: a value beyond the float range becomes inf without a warning
+    return float(np.linalg.norm(_divide(m, scale))) * scale
 
 
 def _scaled_singular_values(matrix) -> tuple[np.ndarray, float]:
-    """The nonincreasing singular values of M / scale, and the scale of `_svd_scales`."""
-    m = _finite(_square(matrix))
-    s = np.linalg.svd(m, compute_uv=False)
-    scale = _svd_scales(m, s)
-    if scale is None:
-        return s, 1.0
-    return np.linalg.svd(_divide(m, scale), compute_uv=False), float(scale)
+    """The nonincreasing singular values of M / scale, and its `_range_scale`."""
+    m = _square(matrix)
+    scale = _range_scale(m, squares=False)
+    return np.linalg.svd(_divide(m, scale), compute_uv=False), scale
 
 
 def singular_values(matrix) -> np.ndarray:
-    """Nonincreasing singular values of a square matrix; inf where one exceeds the float range."""
+    """Nonincreasing singular values of a square matrix; inf where one exceeds the float range.
+
+    A matrix beyond the range of `_range_scale` is factored once, divided by the
+    power of two at its largest part; every other matrix keeps the bits of its SVD.
+    """
     s, scale = _scaled_singular_values(matrix)
     if scale == 1.0:
         return s
@@ -270,19 +245,27 @@ def operator_norm(matrix) -> float:
     largest one.  A diagonal corner gives it as max |d|, an exactly hermitian
     one as max |lambda| from `eigvalsh` (0.08 s against the SVD's 0.13 s at
     N = 512, one BLAS thread), any other corner as its first singular value.
+    Each route works on the corner divided by its `_range_scale` (1.0 in range,
+    so the corner keeps its bits) and multiplies the value back: inf beyond the
+    float range.
     """
-    m = _finite(_square(matrix))
-    size = support_size(m)
+    m = _square(matrix)
+    size = support_size(m)  # a non-finite entry is nonzero, so it lies in the corner
     if not size:
         return 0.0
     corner = m[:size, :size]
+    scale = _range_scale(corner, squares=False)
+    corner = _divide(corner, scale)
     diagonal = diagonal_or_none(corner)
     if diagonal is not None:
-        return float(np.abs(diagonal).max())
-    if np.array_equal(corner, corner.conj().T):
+        top = np.abs(diagonal).max()
+    elif np.array_equal(corner, corner.conj().T):
         lam = np.linalg.eigvalsh(corner)
-        return float(max(-lam[0], lam[-1]))
-    return float(singular_values(corner)[0])
+        top = max(-lam[0], lam[-1])
+    else:
+        top = np.linalg.svd(corner, compute_uv=False)[0]
+    # python floats: a value beyond the float range becomes inf without a warning
+    return float(top) * scale
 
 
 def conjugate_gauge(gauge: GaugeSpec) -> GaugeSpec:
@@ -331,47 +314,43 @@ def norm_value_and_subgradient(gauge: GaugeSpec,
     matrix M*M: v is its top eigenvector, sigma_1 = sqrt(lambda_max) and
     u = M v / sigma_1, so no SVD and no c x c x c product is formed.  The
     other gauges need every singular vector: D = U f(sigma) V* from one SVD,
-    with the value read from its sorted sigma.  A value beyond the float
-    range is inf, with a finite D.  D is real when M is.  M may be a stack
-    of shape (n, c, c): then the values come as an array and D as a stack,
-    each slice with the bits of its own call.
+    with the value read from its sorted sigma.  Every route works on M divided
+    by its `_range_scale` (1.0 in range, so M keeps the bits of its direct
+    factorization; the Frobenius and Gram routes sum squares) and multiplies
+    the value back once: a value beyond the float range is inf, with a finite
+    D.  D is real when M is.  M may be a stack of shape (n, c, c): then the
+    values come as an array and D as a stack, each slice scaled on its own and
+    with the bits of its own call.
     """
     m = _square(matrix, ndims=(2, 3))
     m = m.astype(np.promote_types(m.dtype, float), copy=False)
     stack = m if m.ndim == 3 else m[None]
-    if gauge.family == SCHATTEN and gauge.p == 2:
-        values = [_frobenius(x) for x in stack]
-        d = _divide(stack, np.array([v if v > 0.0 else 1.0 for v in values]).reshape(-1, 1, 1))
+    frobenius = gauge.family == SCHATTEN and gauge.p == 2
+    squares = frobenius or gauge.family == SUP
+    scales = [_range_scale(x, squares) for x in stack]
+    if scales.count(1.0) != len(scales):
+        stack = np.stack([_divide(x, k) for x, k in zip(stack, scales)])
+    if frobenius:
+        values = [float(np.linalg.norm(x)) for x in stack]
+        d = stack / np.array([v if v > 0.0 else 1.0 for v in values]).reshape(-1, 1, 1)
     elif gauge.family == SUP:
         values, d = _sup_value_and_subgradient(stack)
     else:
-        u, s, vh = np.linalg.svd(_finite(stack))
-        scales = _svd_scales(stack, s)
-        if scales is not None:
-            u, s, vh = np.linalg.svd(_divide(stack, scales.reshape(-1, 1, 1)))
+        u, s, vh = np.linalg.svd(stack)
         values = [_sorted_gauge_value(gauge, x) for x in s]
         d = (u * _subgradient_weights(gauge, s, values)[:, None, :]) @ vh
-        if scales is not None:
-            # python floats: a value beyond the float range becomes inf without a warning
-            values = [v * float(k) for v, k in zip(values, scales)]
+    # python floats: a value beyond the float range becomes inf without a warning
+    values = [v * k for v, k in zip(values, scales)]
     return (np.array(values), d) if m.ndim == 3 else (values[0], d[0])
 
 
 def _sup_value_and_subgradient(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """sigma_1 and D = u v* of each slice, from one `eigh` of its Gram matrix.
-
-    Each slice is first divided by the power of two at its largest part, exactly,
-    so that its Gram matrix neither overflows nor underflows.
-    """
-    scales = _power_of_two_at(_largest_parts(stack))
-    x = _divide(stack, scales.reshape(-1, 1, 1))
-    lam, w = np.linalg.eigh(x.conj().transpose(0, 2, 1) @ x)
+    """sigma_1 and D = u v* of each slice, from one `eigh` of its Gram matrix."""
+    lam, w = np.linalg.eigh(stack.conj().transpose(0, 2, 1) @ stack)
     sigma = np.sqrt(lam.max(axis=-1, initial=0.0))  # 0 for a 0 x 0 slice
     v = w[:, :, -1:]  # the top eigenvectors, as columns
-    u = (x @ v) / np.where(sigma > 0.0, sigma, 1.0).reshape(-1, 1, 1)  # 0 where M vanishes
-    d = u * v.conj().transpose(0, 2, 1)
-    # python floats: a value beyond the float range becomes inf without a warning
-    return [float(s) * float(k) for s, k in zip(sigma, scales)], d
+    u = (stack @ v) / np.where(sigma > 0.0, sigma, 1.0).reshape(-1, 1, 1)  # 0 where M vanishes
+    return [float(s) for s in sigma], u * v.conj().transpose(0, 2, 1)
 
 
 def _subgradient_weights(gauge: GaugeSpec, s: np.ndarray, values: list[float]) -> np.ndarray:

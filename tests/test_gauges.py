@@ -165,9 +165,11 @@ def test_gauge_value_homogeneous_and_monotone():
         assert gauge_value(g, s) <= gauge_value(g, t) + 1e-12
 
 
-@pytest.mark.parametrize("p, scale", [(400, 10.0), (3, 1e110), (2, 1e200), (2, 1e-200)])
+@pytest.mark.parametrize("p, scale", [(400, 10.0), (3, 1e110), (2, 1e200), (2, 1e-200),
+                                      (2, 1e-161), (2, 1e-158)])
 def test_schatten_norm_does_not_overflow(p, scale):
-    # t ** p over- or underflows for these values unless t is scaled first
+    # t ** p over- or underflows for these values unless t is scaled first; at 1e-161
+    # and 1e-158 the squares of a Frobenius sum are subnormal and lose bits
     want = pytest.approx(scale * 3 ** (1 / p), rel=1e-12, abs=0.0)
     m = scale * np.eye(3)
     assert gauge_norm(schatten(p), m) == want
@@ -228,8 +230,8 @@ BEYOND_RANGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("g", [schatten(1), schatten(3), ky_fan(1), ky_fan(2), ky_fan_dual(2),
-                               sup_gauge()], ids=lambda g: g.label)
+@pytest.mark.parametrize("g", [schatten(1), schatten(2), schatten(3), ky_fan(1), ky_fan(2),
+                               ky_fan_dual(2), sup_gauge()], ids=lambda g: g.label)
 @pytest.mark.parametrize("case", BEYOND_RANGE_CASES)
 def test_norms_beyond_the_float_range_are_inf_not_nan(g, case):
     # LAPACK returns nan, or an infinite sigma_1 with a spectrum of rounding noise,
@@ -249,13 +251,44 @@ def test_norms_beyond_the_float_range_are_inf_not_nan(g, case):
 
 @pytest.mark.parametrize("g", [schatten(1), ky_fan_dual(2), sup_gauge()], ids=lambda g: g.label)
 def test_in_range_norms_keep_the_bits_of_the_direct_svd(g):
-    # the rescale is taken only beyond the range, decided from the direct SVD
+    # the rescale is taken only beyond the range, decided from the largest part
     rng = np.random.default_rng(21)
     for scale in (1.0, 1e200, 1e-200, 1e-310):
         m = scale * random_matrix(rng, 6)
         s = np.linalg.svd(m, compute_uv=False)
         assert np.array_equal(singular_values(m), s)
         assert gauge_norm(g, m) == gauge_value(g, s)
+    # the Frobenius and Gram routes sum squares; in range they keep the bits of the
+    # unscaled sum and the unscaled `eigh`
+    for scale in (1.0, 1e100, 1e-100):
+        m = scale * random_matrix(rng, 6)
+        frobenius = float(np.linalg.norm(m))
+        assert gauge_norm(schatten(2), m) == frobenius
+        value, d = norm_value_and_subgradient(schatten(2), m)
+        assert value == frobenius and np.array_equal(d, m / frobenius)
+        lam, w = np.linalg.eigh(m.conj().T @ m)
+        sigma, v = np.sqrt(lam[-1]), w[:, -1:]
+        value, d = norm_value_and_subgradient(sup_gauge(), m)
+        assert value == sigma and np.array_equal(d, (m @ v) / sigma * v.conj().T)
+
+
+def test_the_svd_route_factors_each_matrix_once_beyond_the_range(monkeypatch):
+    # the range is read from the largest part before the SVD, never from the SVD itself
+    operands = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        operands.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    stack = np.stack(list(BEYOND_RANGE_CASES.values()))
+    for m in stack:
+        singular_values(m)
+        gauge_norm(schatten(1), m)
+    norm_value_and_subgradient(ky_fan(1), stack)
+    operator_norm(np.array([[1e308, 1e308], [0.0, 1e308]]))  # neither diagonal nor hermitian
+    assert operands == [(2, 2)] * (2 * len(stack)) + [stack.shape, (2, 2)]
 
 
 def power_of_two_scaled(m):
@@ -323,8 +356,9 @@ def test_gauge_value_rejects_negative_entries():
 
 def test_sup_gauge_is_operator_norm():
     rng = np.random.default_rng(11)
-    m = random_matrix(rng, 5)
-    assert gauge_norm(sup_gauge(), m) == operator_norm(m)
+    big = 1.5e308 + 1.5e308j  # a finite entry whose modulus overflows
+    for m in random_matrix(rng, 5), np.array([[0, big], [np.conj(big), 0]]):
+        assert gauge_norm(sup_gauge(), m) == operator_norm(m)
 
 
 def _banded_hermitian(rng, dim, width):
