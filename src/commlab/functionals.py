@@ -15,7 +15,8 @@ a commutator sum, with the quotient norm bracketed from both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+import math
 import numpy as np
 
 from .gauges import (GaugeSpec, _check_gauge, conjugate_gauge, gauge_norm,
@@ -28,6 +29,7 @@ _TRACE_NORM = schatten(1.0)
 DETECTION_RUN = 5
 DETECTION_TOL = 1e-9
 STATE_TOL = 1e-12
+ADDITIVITY_SLACK = 1e-6
 
 
 class NotConverged(Exception):
@@ -44,8 +46,10 @@ def detect_limit(values, rule: str = "plain", tol: float = DETECTION_TOL) -> com
     plain: the last value, provided the final DETECTION_RUN consecutive
     deltas are below `tol` (so a finitely supported evaluation that has
     dropped to exact zero is detected as exactly zero).  cesaro: the same
-    detection applied to running averages.  A non-finite value never settles.
+    detection applied to running averages.  A non-finite value never settles,
+    and a tolerance that is not positive and finite is refused.
     """
+    _check_tolerance(tol)
     seq = [complex(v) for v in values]
     if rule == "cesaro":
         if bad := [v for v in seq if not np.isfinite(v)]:
@@ -65,10 +69,17 @@ def detect_limit(values, rule: str = "plain", tol: float = DETECTION_TOL) -> com
     return seq[-1]
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"detection tolerance must be positive and finite, got {tol!r}")
+
+
 def _as_block(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("blocks must be square matrices")
+    if not np.isfinite(m).all():
+        raise ValueError("blocks must have finite entries")
     return m
 
 
@@ -162,6 +173,7 @@ class TailStateSpec:
     def __post_init__(self):
         if self.limit_rule not in ("plain", "cesaro"):
             raise ValueError(f"unknown limit rule {self.limit_rule!r}")
+        _check_tolerance(self.detection_tol)
         windows = tuple((int(lo), int(hi)) for lo, hi in self.windows)
         states = tuple(_as_block(rho) for rho in self.states)
         if not windows:
@@ -304,62 +316,66 @@ def trace_part_norms(tp: TracePart) -> tuple[float, tuple[float, ...]]:
     return float(x1), tuple(gauge_norm(dual, y) if y.size else 0.0 for y in tp.ys)
 
 
-def sampled_lower(values, test_ops: tuple[TestOperator, ...]) -> tuple[float, float, int]:
-    """The largest |value| / norm over the test set, for the max-form and the sum-form norm.
+def sampled_lower(values, test_ops: tuple[TestOperator, ...]) -> tuple[float, int]:
+    """(the largest |value| / norm over the test set, the number of operators skipped).
 
     `values[i]` is the functional at `test_ops[i]`, or None where its
     evaluation raised NotConverged: that operator is skipped and counted.
-    Both norms come from the halves each TestOperator carries; a norm at or
-    below 1e-14 contributes nothing.  Returns (lower, lower_alt, skipped).
+    The norm is the max-form norm of the halves each TestOperator carries;
+    a norm at or below 1e-14 contributes nothing.
     """
-    lowers = [0.0, 0.0]
-    skipped = 0
+    lower, skipped = 0.0, 0
     for value, op in zip(values, test_ops, strict=True):
         if value is None:
             skipped += 1
             continue
-        s_norm, c_norm = op.operator_norm, op.commutator_norm
-        for i, norm in enumerate((max(s_norm, c_norm), s_norm + c_norm)):
-            if norm > 1e-14:
-                lowers[i] = max(lowers[i], abs(value) / norm)
-    return lowers[0], lowers[1], skipped
+        norm = max(op.operator_norm, op.commutator_norm)
+        if norm > 1e-14:
+            lower = max(lower, abs(value) / norm)
+    return lower, skipped
 
 
 @dataclass(frozen=True)
 class NormBounds:
-    """Sampled lower and certified upper bounds for both dual norms.
+    """A sampled lower and a split certified upper bound on the norm of a functional.
 
-    `lower`/`upper` bracket the norm dual to the max-form operator norm;
-    `lower_alt`/`upper_alt` bracket the dual of the sum-form norm.  Samples
-    whose singular evaluation fails to converge are skipped and counted.
+    `upper` = `upper_trace` + `upper_tail`: |X|_1 + sum_j |Y_j|_dual for the
+    trace part, 1.0 for a singular part.  `ok` holds when `lower` stays within
+    ADDITIVITY_SLACK of `upper`.  Samples whose singular evaluation fails to
+    converge are skipped and counted.
     """
 
     lower: float
-    upper: float
-    lower_alt: float
-    upper_alt: float
+    upper_trace: float
+    upper_tail: float
     skipped: int
-    samples: int
+    ok: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.lower <= self.upper + ADDITIVITY_SLACK)
+
+    @property
+    def upper(self) -> float:
+        return self.upper_trace + self.upper_tail
 
 
 def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: GaugeSpec,
                            test_set: tuple[TestOperator, ...]) -> NormBounds:
-    """Both norm brackets of phi, sampled on a test set drawn for tau in this gauge."""
+    """The norm bracket of phi, sampled on a test set drawn for tau in this gauge."""
     tp = phi.trace_part or TracePart.zero(tau.n, gauge)
     _check_gauge(gauge, trace_part=[tp], test_set=test_set)
     x1, y_norms = trace_part_norms(tp)
     values = [_eval_split(phi, tau, op.matrix, strict=False)[0] for op in test_set]
-    return _norm_bracket(phi, x1, y_norms, values, test_set)[2]
+    return _norm_bracket(phi, x1, y_norms, values, test_set)
 
 
 def _norm_bracket(phi: FunctionalSpec, x1: float, y_norms, values,
-                  test_set: tuple[TestOperator, ...]) -> tuple[float, float, NormBounds]:
-    """(upper_trace, upper_tail, NormBounds) of phi from its trace part's norms
-    `x1` and `y_norms` and its `values` on the test set."""
-    ysum, singular = float(sum(y_norms)), 1.0 if phi.singular_part is not None else 0.0
-    lower, lower_alt, skipped = sampled_lower(values, test_set)
-    return x1 + ysum, singular, NormBounds(lower, x1 + ysum + singular, lower_alt,
-                                           max(x1 + singular, ysum), skipped, len(test_set))
+                  test_set: tuple[TestOperator, ...]) -> NormBounds:
+    """The NormBounds of phi from its trace part's norms `x1` and `y_norms`
+    and its `values` on the test set."""
+    lower, skipped = sampled_lower(values, test_set)
+    return NormBounds(lower, x1 + float(sum(y_norms)),
+                      1.0 if phi.singular_part is not None else 0.0, skipped)
 
 
 # Predual elements are trace parts read modulo commutator-sum pairs.
@@ -436,5 +452,5 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
             break
 
     ops = test_set if sample_spec is None else generate_test_set(sample_spec, tau, gauge)
-    lower, _, _ = sampled_lower([eval_trace_part(tp, tau, op.matrix) for op in ops], ops)
+    lower, _ = sampled_lower([eval_trace_part(tp, tau, op.matrix) for op in ops], ops)
     return QuotientBounds(lower=float(lower), upper=float(best), iterations=iterations)

@@ -22,14 +22,6 @@ KY_FAN_DUAL = "ky-fan-dual"
 
 _FAMILIES = (SCHATTEN, KY_FAN, SUP, KY_FAN_DUAL)
 
-# Boundary note attached to the conjugate of the trace gauge: pairing the
-# trace class with the sup gauge is the one case where the usual dual-space
-# identification breaks down.  Finite matrices still evaluate fine.
-_TRACE_SUP_BOUNDARY = (
-    "boundary pairing: dual of the trace gauge; the dual-space "
-    "identification excludes this pair, finite evaluations remain valid"
-)
-
 
 @dataclass(frozen=True)
 class GaugeSpec:
@@ -39,15 +31,14 @@ class GaugeSpec:
     At finite matrix size every operator has finite rank, so the usual
     distinction between a normed ideal and the closure of the finite-rank
     operators inside it is vacuous here: every family is mononorming.
-    Two specs are equal when they name the same norm: `label` and `notes`
-    describe it and take no part in comparison or hashing.
+    Two specs are equal when they name the same norm: `label` describes it
+    and takes no part in comparison or hashing.
     """
 
     family: str
     p: float | None = None
     k: int | None = None
     label: str = field(default="", compare=False)
-    notes: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -101,7 +92,7 @@ def ky_fan_dual(k: int) -> GaugeSpec:
 
 def _as_sorted_values(values) -> np.ndarray:
     t = np.asarray(values, dtype=float).ravel()
-    if t.size and t.min() < -1e-12:
+    if t.size and not t.min() >= -1e-12:  # nan compares false, so it is refused too
         raise ValueError("gauge arguments must be nonnegative")
     t = np.clip(t, 0.0, None)
     # Symmetric gauges only see the multiset of values; sort defensively so
@@ -219,7 +210,7 @@ def gauge_norm(gauge: GaugeSpec, matrix) -> float:
         return _frobenius(_square(matrix))
     s, scale = _scaled_singular_values(matrix)
     # python floats: a value beyond the float range becomes inf without a warning
-    return gauge_value(gauge, s) * scale
+    return _sorted_gauge_value(gauge, s) * scale
 
 
 def support_size(matrix: np.ndarray) -> int:
@@ -272,12 +263,13 @@ def conjugate_gauge(gauge: GaugeSpec) -> GaugeSpec:
     """The conjugate (trace-duality) gauge.
 
     schatten p > 1 maps to schatten p/(p-1); the trace gauge maps to the sup
-    gauge (marked as the boundary pairing in `notes`); the sup gauge maps to
-    the trace gauge; ky-fan k maps to t -> max(t_1, (sum t_i)/k) and back.
+    gauge and back; ky-fan k maps to t -> max(t_1, (sum t_i)/k) and back.
+    The trace/sup pair is the boundary pairing: the dual-space identification
+    excludes it, but finite evaluations remain valid.
     """
     if gauge.family == SCHATTEN:
         if gauge.p == 1:
-            return GaugeSpec(family=SUP, notes=_TRACE_SUP_BOUNDARY)
+            return sup_gauge()
         return schatten(gauge.p / (gauge.p - 1.0))
     if gauge.family == SUP:
         return schatten(1.0)

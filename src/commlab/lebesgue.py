@@ -14,6 +14,7 @@ import numpy as np
 
 from .functionals import (
     _TRACE_NORM,
+    NormBounds,
     NotConverged,
     TracePart,
     _check_margin,
@@ -24,14 +25,13 @@ from .functionals import (
     rows_read,
     trace_part_norms,
 )
-from .gauges import (GaugeSpec, _check_gauge, diagonal_or_none, gauge_norm, gauge_value,
-                     operator_norm)
+from .gauges import (GaugeSpec, _check_gauge, _sorted_gauge_value, diagonal_or_none,
+                     gauge_norm, operator_norm)
 from .idealops import HermitianTuple, commutator_tuple, embed
 from .qau import UnitElement, UnitSchedule, _member_norms
 from .sampling import TestOperator
 
 RESIDUAL_TOL = 1e-8
-ADDITIVITY_SLACK = 1e-6
 SOUNDNESS_TOL = 1e-9
 
 
@@ -94,7 +94,7 @@ def _trace_factors(tp: TracePart, tau: HermitianTuple, units):
     for i, unit in enumerate(units if sx and tp.x.any() else ()):
         c = min(unit.dimension, max(sx, unit.cap_r))
         rows = embed(tp.x, c)[:sx] - tp.x @ embed(unit.block, c)[:sx]
-        x_terms[i] = gauge_value(_TRACE_NORM, np.linalg.svd(rows, compute_uv=False))
+        x_terms[i] = _sorted_gauge_value(_TRACE_NORM, np.linalg.svd(rows, compute_uv=False))
     return x1, y_norms, x_terms
 
 
@@ -167,23 +167,12 @@ class RecoveryRecord:
 
 
 @dataclass(frozen=True)
-class AdditivityRecord:
-    """Sampled lower bound for the whole functional against the split uppers."""
-
-    lower: float
-    upper_trace: float
-    upper_tail: float
-    skipped: int
-    ok: bool
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     phi_id: str
     schedule_id: str
     per_s: tuple[RecoveryRecord, ...]
     residuals: tuple[tuple[str, float], ...]
-    additivity: AdditivityRecord
+    additivity: NormBounds
     idempotence_gap: float
     status: str
     diagnostics: tuple[str, ...]
@@ -256,12 +245,10 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
             else:
                 idem_gap = max(idem_gap, abs(again - limit))
 
-        upper_trace, upper_tail, bracket = _norm_bracket(phi, x1, y_norms, directs, test_set)
-        lower, upper = bracket.lower, bracket.upper
-        additivity = AdditivityRecord(lower, upper_trace, upper_tail, bracket.skipped,
-                                      ok=lower <= upper + ADDITIVITY_SLACK)
+        additivity = _norm_bracket(phi, x1, y_norms, directs, test_set)
         if not additivity.ok:
-            diagnostics.append(f"norm lower bound {lower:.6e} exceeds split upper {upper:.6e}")
+            diagnostics.append(f"norm lower bound {additivity.lower:.6e} "
+                               f"exceeds split upper {additivity.upper:.6e}")
 
         reports.append(DecompositionReport(
             phi_id=phi.label or f"phi-{i}",
@@ -286,16 +273,16 @@ class ProjectionReport:
 
 
 def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
-                     gauge: GaugeSpec, test_set: tuple[TestOperator, ...],
-                     coeffs: tuple[float, float] = (2.0, -1.0)) -> ProjectionReport:
+                     gauge: GaugeSpec, test_set: tuple[TestOperator, ...]) -> ProjectionReport:
     """Check idempotence, linearity and the norm sandwich of the recovery map.
 
     One `decompose` call covers every FunctionalSpec: each report gives the
     first-pass limits, the idempotence gap, and the additivity gap, how far
     the sampled norm lower bound exceeds the split upper bound.  Consecutive
-    pairs are combined with `coeffs`, and the combination's recovery is
-    compared with the matching combination of first-pass limits.  Raises NotConverged when
-    a first-pass recovery does not settle; these checks assume convergence.
+    pairs are combined as 2 phi_i - phi_{i+1}, and the combination's recovery
+    is compared with the same combination of first-pass limits.  Raises
+    NotConverged when a first-pass recovery does not settle; these checks
+    assume convergence.
     """
     phis = list(phis)
     reports = decompose(phis, schedule, tau, gauge, test_set)
@@ -304,19 +291,18 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
             raise NotConverged(f"{rec.s_id}: recovery did not converge", rec.sequence)
     first = [{rec.s_id: rec.limit for rec in report.per_s} for report in reports]
 
-    alpha, beta = coeffs
     lin = []
     for i in range(0, len(phis) - 1, 2):
-        combo = combine((alpha, phis[i]), (beta, phis[i + 1]))
+        combo = combine((2.0, phis[i]), (-1.0, phis[i + 1]))
         gap = 0.0
         for op in test_set:
             mixed = recover_ac_part(combo, schedule, tau, op.matrix).limit
-            split = alpha * first[i][op.op_id] + beta * first[i + 1][op.op_id]
+            split = 2.0 * first[i][op.op_id] - first[i + 1][op.op_id]
             gap = max(gap, abs(mixed - split))
         lin.append(float(gap))
 
-    adds = [report.additivity for report in reports]
     return ProjectionReport(
         idempotence_gaps=tuple(report.idempotence_gap for report in reports),
         linearity_gaps=tuple(lin),
-        additivity_gaps=tuple(max(0.0, a.lower - (a.upper_trace + a.upper_tail)) for a in adds))
+        additivity_gaps=tuple(max(0.0, r.additivity.lower - r.additivity.upper)
+                              for r in reports))

@@ -34,8 +34,7 @@ class TestOperator:
     """A test operator with both halves of its norm, taken once when it was drawn.
 
     `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge in the
-    `gauge` it was drawn with; their max is the max-form norm and their sum
-    the sum-form norm.
+    `gauge` it was drawn with; their max is the max-form norm.
     """
 
     op_id: str

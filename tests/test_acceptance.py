@@ -319,7 +319,7 @@ def test_criterion_7_projection_identities(capsys, lap128):
                        gauge=G2)
         tail = _tail_spec(rng) if rng.integers(2) else None
         phis.append(FunctionalSpec(trace_part=tp, singular_part=tail))
-    report = projection_check(phis, schedule, lap128, G2, ops, coeffs=(2.0, -1.0))
+    report = projection_check(phis, schedule, lap128, G2, ops)
     idem = max(report.idempotence_gaps)
     lin = max(report.linearity_gaps)
     addv = max(report.additivity_gaps)

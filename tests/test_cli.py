@@ -206,6 +206,11 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("decompose", lambda c: c["functionals"][0]["singular_part"].update(
         windows=[[56, 57], [58, 59], [60, 61], [62, 63]], states=[[[0.5, 1.0], [-1.0, 0.5]]] * 4),
      "functionals[0].singular_part.states"),
+    # every tail would fail to settle under a zero tolerance, and the run exit 1
+    ("decompose", lambda c: c["functionals"][0]["singular_part"].update(detection_tol=0),
+     "functionals[0].singular_part.detection_tol"),
+    ("gauge-check", lambda c: c["functionals"][0]["singular_part"].update(detection_tol=-1e-9),
+     "functionals[0].singular_part.detection_tol"),
     ("gauge-check", lambda c: c["model"].update(parameters=[1.0, 0]), "model"),
     ("gauge-check", lambda c: c.update(model={"name": "diagonal-grid", "parameters": [0]}),
      "model"),
@@ -219,8 +224,8 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, stage, edit, path):
     ("k-estimate", lambda c: c["solver"].update(stop_tolerance=-1.0),
      "solver.stop_tolerance"),
 ], ids=["tail-window-start-after-end", "empty-tail-windows", "tail-states-count",
-        "non-hermitian-tail-state", "lap-pos-zero-grid", "diagonal-grid-zero-steps",
-        "removed-step-rule", "dimension-beyond-memory", "diagonals-beyond-memory",
+        "non-hermitian-tail-state", "zero-detection-tol", "negative-detection-tol",
+        "lap-pos-zero-grid", "diagonal-grid-zero-steps", "removed-step-rule", "dimension-beyond-memory", "diagonals-beyond-memory",
         "zero-step-scale", "negative-stop-tolerance"])
 def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     cfg = copy.deepcopy(BASE)

@@ -350,8 +350,11 @@ def test_sup_value_and_subgradient_on_random_draws():
 
 
 def test_gauge_value_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        gauge_value(schatten(1), [1.0, -0.5])
+    # a nan compares false against the threshold, as a negative value compares true
+    for gauge in schatten(1), schatten(3), sup_gauge(), ky_fan(1), ky_fan_dual(2):
+        for values in [1.0, -0.5], [np.nan, 1.0], [1.0, np.nan]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                gauge_value(gauge, values)
 
 
 def test_sup_gauge_is_operator_norm():
@@ -456,10 +459,6 @@ def test_conjugate_pairs():
     assert conjugate_gauge(sup_gauge()) == schatten(1)
     assert conjugate_gauge(ky_fan(2)).family == "ky-fan-dual"
     assert conjugate_gauge(ky_fan_dual(3)) == ky_fan(3)
-
-
-def test_trace_sup_boundary_is_flagged():
-    assert conjugate_gauge(schatten(1)).notes != ""
 
 
 def test_ky_fan_dual_formula_against_lp():

@@ -1,13 +1,17 @@
 """Recovery of trace parts through unit schedules, with certificates."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import commlab
 from commlab import (
     FunctionalSpec,
     GaugeSpec,
+    NormBounds,
     NotConverged,
     OperatorModelSpec,
     SampleSpec,
@@ -235,7 +239,7 @@ def test_bound_input_validation():
 
 
 def test_gauges_equal_by_value_so_a_relabelled_trace_part_is_bounded():
-    assert conjugate_gauge(schatten(1)) == sup_gauge()  # differ only in notes
+    assert conjugate_gauge(schatten(1)) == sup_gauge()
     assert conjugate_gauge(conjugate_gauge(sup_gauge())) == sup_gauge()
     assert hash(conjugate_gauge(schatten(1))) == hash(sup_gauge())
     labelled = GaugeSpec("schatten", p=2.0, label="p2")
@@ -655,6 +659,14 @@ def test_decompose_and_norm_bounds_share_the_sampled_lower():
     bounds = functional_norm_bounds(phi, tau, G2, generate_test_set(spec, tau, G2))
     assert bounds.skipped == 2
     assert (report.additivity.lower, report.additivity.skipped) == (bounds.lower, bounds.skipped)
+    assert bounds == report.additivity
+
+
+def test_norm_bounds_fields_are_the_additivity_artifact_keys():
+    schema = json.loads((Path(commlab.__file__).parent / "schemas"
+                         / "decomposition.schema.json").read_text(encoding="utf-8"))
+    additivity = schema["properties"]["reports"]["items"]["properties"]["additivity"]
+    assert [f.name for f in fields(NormBounds)] == additivity["required"]
 
 
 def test_decompose_aligns_gauge_for_singular_only():
@@ -762,7 +774,7 @@ def test_projection_linearity_on_random_pair():
                            singular_part=coordinate_tail_states(TAIL_RANGE))
             for _ in range(2)]
     ops = sample_ops(tau, seed=84, count=5)
-    report = projection_check(phis, sched, tau, G2, ops, coeffs=(2.0, -1.0))
+    report = projection_check(phis, sched, tau, G2, ops)
     assert len(report.linearity_gaps) == 1
     assert report.linearity_gaps[0] <= 1e-8
     assert all(g <= 1e-9 for g in report.idempotence_gaps)
