@@ -22,7 +22,7 @@ import numpy as np
 from .gauges import (GaugeSpec, _check_gauge, conjugate_gauge, gauge_norm,
                      norm_value_and_subgradient, schatten)
 from .idealops import HermitianTuple, band_commutator, embed
-from .qau import _check_iterations
+from .qau import _check_iterations, _descend
 from .sampling import SampleSpec, TestOperator, generate_test_set
 
 _TRACE_NORM = schatten(1.0)
@@ -385,9 +385,15 @@ pairing = eval_trace_part
 
 @dataclass(frozen=True)
 class QuotientBounds:
+    """The bracket on a quotient norm, and how the upper bound's descent ended.
+
+    `iterations` and `stop_reason` are those of `qau._descend`.
+    """
+
     lower: float
     upper: float
     iterations: int
+    stop_reason: str
 
 
 def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
@@ -397,15 +403,14 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     """Bracket the quotient norm of the class of tp.
 
     Upper: minimize |x + sum_j [T_j, w_j]|_1 + sum_j |y_j + w_j|_dual over
-    perturbations w_j supported in the leading `window` coordinates, by
-    subgradient descent from w = 0 with Polyak-type steps (the objective is
-    sharp when the class is zero).  The negated y blocks are also tried as a
-    candidate, so elements constructed inside the null subspace certify an
-    upper bound of exactly zero.  Any evaluated point gives a valid bound.
-    The perturbations are one (n, work, work) stack, zero outside the
-    window, so each iterate takes one broadcast commutator for the
-    representative, one SVD for its trace norm, one stacked dual norm and
-    one broadcast commutator for the gradient.
+    perturbations w_j supported in the leading `window` coordinates, by the
+    subgradient descent of `qau._descend` on the (n, window, window) stack.
+    It starts from the lower of w = 0 and the negated y blocks, so elements
+    constructed inside the null subspace certify an upper bound of exactly
+    zero.  Any evaluated point gives a valid bound.  Each evaluation takes
+    one broadcast commutator for the representative, one SVD for its trace
+    norm, one stacked dual norm and one broadcast commutator for the
+    subgradient.
 
     Lower: the largest normalized pairing against the test set: a drawn
     `test_set` in `gauge`, or the one `generate_test_set` draws from
@@ -424,8 +429,10 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     xe = embed(tp.x, work)
     ye = np.stack([embed(y, work) for y in tp.ys])
 
-    def evaluate(ws: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray]:
         # the cost and its windowed subgradients from one SVD of x + sum_j [T_j, w_j]
+        ws = np.zeros_like(ye)
+        ws[:, :window, :window] = v
         trace_norm, d1 = norm_value_and_subgradient(
             _TRACE_NORM, sum(band_commutator(ts, ws, band), xe))
         dual_norms, ds = norm_value_and_subgradient(dual, ye + ws)
@@ -433,24 +440,13 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
                  + ds[:, :window, :window])
         return trace_norm + sum(dual_norms), grads
 
-    ws = np.zeros_like(ye)
-    current, grads = evaluate(ws)
-    candidate = np.zeros_like(ye)
-    candidate[:, :window, :window] = -ye[:, :window, :window]
-    best = min(current, evaluate(candidate)[0])
-    iterations = 0
-    for it in range(max_iterations):
-        iterations = it + 1
-        gsq = np.vdot(grads, grads).real
-        if gsq <= 1e-30 or current <= 1e-14:
-            break
-        ws[:, :window, :window] -= (current / gsq) * grads
-        current, grads = evaluate(ws)
-        if current < best:
-            best = current
-        if best <= 1e-14:
-            break
+    starts = [(v, *evaluate(v)) for v in (np.zeros_like(ye[:, :window, :window]),
+                                           -ye[:, :window, :window])]
+    v, value, g = min(starts, key=lambda start: start[1])  # w = 0 on a tie
+    _, upper, stop_reason, trace = _descend(v, value, g, evaluate, lambda w: w,
+                                            max_iterations)
 
     ops = test_set if sample_spec is None else generate_test_set(sample_spec, tau, gauge)
     lower, _ = sampled_lower([eval_trace_part(tp, tau, op.matrix) for op in ops], ops)
-    return QuotientBounds(lower=float(lower), upper=float(best), iterations=iterations)
+    return QuotientBounds(lower=float(lower), upper=float(upper),
+                          iterations=len(trace) - 1, stop_reason=stop_reason)

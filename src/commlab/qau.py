@@ -5,10 +5,11 @@ coordinates.  For a tuple tau and gauge the cell value
 
     beta(m, r) = min over feasible A of max_j |[T_j, A]|_gauge
 
-is estimated by projected subgradient descent warm-started at the diagonal
-ramp.  The table's summary statistic, max over floors of the min over caps,
-is the desk surrogate for the obstruction measured by vanishing commutator
-norms along approximate units growing to the identity.
+is estimated by projected subgradient descent from the diagonal ramp, each
+trial taken from the best unit so far (`_descend`, shared with the quotient
+solver of `functionals`).  The table's summary statistic, max over floors of
+the min over caps, is the desk surrogate for the obstruction measured by
+vanishing commutator norms along approximate units growing to the identity.
 """
 
 from __future__ import annotations
@@ -33,17 +34,48 @@ class MonotonizationError(ValueError):
     """Projection onto the monotone constraint broke another constraint."""
 
 
-# Steps start at STEP_SCALE * value / |subgradient| and decay as 1/sqrt(iteration); the
-# search stops below STOP_TOLERANCE, or after PATIENCE iterations that gain less than it.
-STEP_SCALE = 1.0
+# A trial that lowers the best value by a relative SUFFICIENT is accepted and
+# grows the step; any other trial halves it.  The search stops at a best value
+# of at most STOP_TOLERANCE, or after PATIENCE consecutive halvings.
+SUFFICIENT = 1e-4
 STOP_TOLERANCE = 1e-8
-PATIENCE = 50
+PATIENCE = 10
 MAX_ITERATIONS = 2000
 
 
 def _check_iterations(max_iterations: int) -> None:
     if max_iterations < 0:
         raise ValueError(f"max_iterations out of range: {max_iterations!r}")
+
+
+def _descend(x, value, g, evaluate, project, max_iterations: int):
+    """Projected subgradient descent from x, whose value and subgradient g are given.
+
+    Each trial is project(best - step * g_best), with `evaluate(trial)` giving
+    its (value, subgradient).  The first step is value / |g|^2, |g| taken by
+    the range-safe `_frobenius`.  Returns the best point, its value, the stop
+    reason ("tolerance", "zero-gradient", "stall" or "budget") and the trace
+    of (iteration, trial value, best value), the start first.
+    """
+    trace = [(0, float(value), float(value))]
+    step, halvings = None, 0
+    for it in range(1, max_iterations + 1):
+        if value <= STOP_TOLERANCE:
+            return x, value, "tolerance", trace
+        gnorm = _frobenius(g)
+        if gnorm <= 1e-15:
+            return x, value, "zero-gradient", trace
+        step = value / gnorm / gnorm if step is None else step
+        trial = project(x - step * g)
+        trial_value, trial_g = evaluate(trial)
+        sufficient = trial_value <= value * (1.0 - SUFFICIENT)
+        if trial_value < value:  # the best point, even when the gain is not sufficient
+            x, value, g = trial, trial_value, trial_g
+        trace.append((it, float(trial_value), float(value)))
+        step, halvings = (step * 1.5, 0) if sufficient else (step / 2.0, halvings + 1)
+        if halvings == PATIENCE:
+            return x, value, "stall", trace
+    return x, value, "budget", trace
 
 
 @dataclass(frozen=True)
@@ -169,8 +201,8 @@ class OptimizeResult:
     ended the search: "tolerance" (the best value is at most
     STOP_TOLERANCE), "zero-gradient" (the step direction has Frobenius norm
     at most 1e-15; also the degenerate window m = r, whose feasible set is
-    one point), "stall" (PATIENCE steps without gain) or "budget"
-    (max_iterations steps, 0 included).
+    one point), "stall" (PATIENCE consecutive halvings of the step) or
+    "budget" (max_iterations steps, 0 included).
     """
 
     unit: UnitElement
@@ -184,10 +216,11 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
                   max_iterations: int = MAX_ITERATIONS) -> OptimizeResult:
     """Minimize max_j |[T_j, A]|_gauge over the window's feasible units.
 
-    Projected subgradient descent from the ramp (never accepting an ascent:
-    the best feasible iterate is tracked and returned).  The ramp start is
-    valued as `build_schedule` values it, so the result never exceeds the
-    ramp's schedule norm, bitwise.  Each iterate takes one factorization per
+    Projected subgradient descent from the ramp by `_descend`: every trial
+    steps from the best unit so far, and the search ends after PATIENCE
+    consecutive halvings of the step.  The ramp start is valued as
+    `build_schedule` values it, so the result never exceeds the ramp's
+    schedule norm, bitwise.  Each iterate takes one factorization per
     member, `norm_value_and_subgradient`, for both the member's norm and
     its subgradient D: one `eigh` of the commutator's Gram matrix for the
     sup gauge, whose D is rank one, and one full SVD for the gauges other
@@ -230,45 +263,16 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
 
     # The ramp is certified by ramp_unit, and _project_window is exact, so
     # iterates need no certificate; the returned unit is certified by _make_unit.
-    x = best_block = np.asarray(ramp_unit(tau, floor_m, cap_r).block, dtype=tau.dtype)
+    x = np.asarray(ramp_unit(tau, floor_m, cap_r).block, dtype=tau.dtype)
     norms = _member_norms(tau, gauge, x)  # as build_schedule values the ramp
-    best_value = max(norms)
-    j = norms.index(best_value)
+    value = max(norms)
+    j = norms.index(value)
     g = direction(j, norm_subgradient(gauge, band_commutator(ts[j], embed(x, corner), band)))
-    trace = [(0, float(best_value), float(best_value))]
-    stall = 0
-    reference = best_value
-    base_step = None
-    stop_reason = "budget"
-    for it in range(1, max_iterations + 1):
-        if best_value <= STOP_TOLERANCE:
-            stop_reason = "tolerance"
-            break
-        gnorm = _frobenius(g)
-        if gnorm <= 1e-15:
-            stop_reason = "zero-gradient"
-            break
-        if base_step is None:
-            base_step = STEP_SCALE * best_value / gnorm
-        step = base_step / np.sqrt(it)
-        x = _project_window(x - step * g, floor_m)
-        value, g = evaluate(x)
-        if value < best_value:
-            best_value = value
-            best_block = x
-        trace.append((it, float(value), float(best_value)))
-        if reference - best_value < STOP_TOLERANCE:
-            stall += 1
-            if stall >= PATIENCE:
-                stop_reason = "stall"
-                break
-        else:
-            stall = 0
-            reference = best_value
-
-    unit = _make_unit(best_block, floor_m, dim)
-    return OptimizeResult(unit=unit, value=float(best_value), iterations=len(trace) - 1,
-                          stop_reason=stop_reason, trace=tuple(trace))
+    block, value, stop_reason, trace = _descend(
+        x, value, g, evaluate, lambda b: _project_window(b, floor_m), max_iterations)
+    return OptimizeResult(unit=_make_unit(block, floor_m, dim), value=float(value),
+                          iterations=len(trace) - 1, stop_reason=stop_reason,
+                          trace=tuple(trace))
 
 
 @dataclass(frozen=True)

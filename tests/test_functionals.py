@@ -30,6 +30,7 @@ from commlab import (
     schatten,
 )
 from commlab.idealops import band_commutator
+from commlab.qau import PATIENCE, STOP_TOLERANCE, SUFFICIENT
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -416,9 +417,14 @@ def svd_subgradient(gauge, m):
 def two_pass_quotient(tp, tau, gauge, window, max_iterations):
     """Reference: the quotient solver's upper bound as a two-pass loop.
 
-    Each iterate's cost is taken by values-only SVDs; the next turn forms
-    the representative again and takes its subgradients by full SVDs.
-    Returns (upper, iterations).
+    Each trial's cost is taken by values-only SVDs; the next turn forms the
+    best point's representative again and takes its subgradients by full
+    SVDs.  The descent rule is spelled out here: start from the lower of
+    w = 0 and the negated y blocks; step from the best point; a trial that
+    gains a relative SUFFICIENT grows the step 1.5x, any other halves it and
+    replaces the best point if lower; stop at PATIENCE consecutive halvings,
+    a best value of at most STOP_TOLERANCE or a zero subgradient.  Returns
+    (upper, iterations, stop reason).
     """
     trace_norm = schatten(1)
     dual = conjugate_gauge(gauge)
@@ -441,28 +447,34 @@ def two_pass_quotient(tp, tau, gauge, window, max_iterations):
         out[:window, :window] = m[:window, :window]
         return out
 
-    ws = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
-    current = cost(ws)
-    best = min(current, cost([blocked(-y) for y in yes]))
-    iterations = 0
-    for it in range(max_iterations):
-        iterations = it + 1
+    zero = [np.zeros((work, work), dtype=np.complex128) for _ in range(tau.n)]
+    negated = [blocked(-y) for y in yes]
+    best, ws = min((cost(zero), zero), (cost(negated), negated), key=lambda start: start[0])
+    step, halvings = None, 0
+    for it in range(1, max_iterations + 1):
+        if best <= STOP_TOLERANCE:
+            return best, it - 1, "tolerance"
         d1 = svd_subgradient(trace_norm, representative(ws))
         grads = [blocked(band_commutator(t, d1, tau.bandwidth) + svd_subgradient(dual, y + w))
                  for t, y, w in zip(tau.matrices, yes, ws)]
-        gsq = sum(float(np.linalg.norm(g)) ** 2 for g in grads)
-        if gsq <= 1e-30 or current <= 1e-14:
-            break
-        step = current / gsq
-        ws = [w - step * g for w, g in zip(ws, grads)]
-        current = cost(ws)
-        best = min(best, current)
-        if best <= 1e-14:
-            break
-    return best, iterations
+        gnorm = np.sqrt(sum(float(np.linalg.norm(g)) ** 2 for g in grads))
+        if gnorm <= 1e-15:
+            return best, it - 1, "zero-gradient"
+        step = best / gnorm ** 2 if step is None else step
+        trial = [w - step * g for w, g in zip(ws, grads)]
+        current = cost(trial)
+        if current <= best * (1 - SUFFICIENT):
+            step, halvings = 1.5 * step, 0
+        else:
+            step, halvings = step / 2, halvings + 1
+        if current < best:
+            best, ws = current, trial
+        if halvings == PATIENCE:
+            return best, it, "stall"
+    return best, max_iterations, "budget"
 
 
-@pytest.mark.parametrize("max_iterations", [0, 1, 3])
+@pytest.mark.parametrize("max_iterations", [0, 1, 3, 300])
 @pytest.mark.parametrize("gauge", [G2, schatten(1)], ids=lambda g: g.label)
 def test_quotient_matches_two_pass_reference(gauge, max_iterations):
     rng = np.random.default_rng(54)
@@ -480,11 +492,12 @@ def test_quotient_matches_two_pass_reference(gauge, max_iterations):
     for pe, window in cases:
         bounds = quotient_norm_bounds(pe, tau, gauge, window=window, sample_spec=spec,
                                       max_iterations=max_iterations)
-        upper, iterations = two_pass_quotient(pe, tau, gauge, window, max_iterations)
+        upper, iterations, stop_reason = two_pass_quotient(pe, tau, gauge, window,
+                                                           max_iterations)
         lower = max(abs(eval_trace_part(pe, tau, op.matrix))
                     / max(op.operator_norm, op.commutator_norm) for op in ops)
         assert bounds.lower == lower
-        assert bounds.iterations == iterations
+        assert (bounds.iterations, bounds.stop_reason) == (iterations, stop_reason)
         assert abs(bounds.upper - upper) <= 1e-10 * abs(upper)
 
 

@@ -78,6 +78,6 @@ def test_readme_names_only_existing_classes_and_constants():
         return False
 
     refs = sorted(set(_code_references()))
-    assert {"HermitianTuple.from_matrices", "STEP_SCALE", "functionals.rows_read",
+    assert {"HermitianTuple.from_matrices", "MAX_ITERATIONS", "functionals.rows_read",
             "commlab.lebesgue"} <= set(refs)
     assert [ref for ref in refs if not resolves(ref)] == []
