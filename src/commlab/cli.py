@@ -13,15 +13,8 @@ from .config import ConfigError, load_config
 from .runner import STAGES, render_report, run_experiment
 
 
-def _add_common(parser: argparse.ArgumentParser, need_config: bool):
-    parser.add_argument("--config", required=need_config, metavar="PATH",
-                        help="experiment config (JSON)")
-    parser.add_argument("--out", required=True, metavar="DIR",
-                        help="directory for artifacts")
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers where a stage supports them")
+def _add_out(parser: argparse.ArgumentParser):
+    parser.add_argument("--out", required=True, metavar="DIR", help="directory for artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,21 +24,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "norms, approximate units, and functional decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
     for stage in STAGES:
-        _add_common(sub.add_parser(stage.name, help=stage.help), need_config=True)
-    _add_common(sub.add_parser(
-        "report", help="render plot-ready data files from existing artifacts"),
-        need_config=False)
+        p = sub.add_parser(stage.name, help=stage.help)
+        p.add_argument("--config", required=True, metavar="PATH", help="experiment config (JSON)")
+        _add_out(p)
+        p.add_argument("--seed", type=int, default=None, metavar="U64",
+                       help="override the config seed")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="parallel workers where a stage supports them")
+    # report reads only the artifacts in --out
+    _add_out(sub.add_parser("report", help="render plot-ready data files from existing artifacts"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print("config error: --seed must be nonnegative", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("config error: --jobs must be at least one", file=sys.stderr)
-        return 2
     try:
         if args.command == "report":
             result = render_report(args.out)
@@ -53,6 +45,12 @@ def main(argv=None) -> int:
                 print(f"notice: {notice}")
             print(f"report: wrote {len(result['written'])} data files")
             return 0
+        if args.seed is not None and args.seed < 0:
+            print("config error: --seed must be nonnegative", file=sys.stderr)
+            return 2
+        if args.jobs < 1:
+            print("config error: --jobs must be at least one", file=sys.stderr)
+            return 2
         config = load_config(args.config)
         if args.seed is not None:
             config = config.with_seed(args.seed)

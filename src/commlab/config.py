@@ -144,12 +144,12 @@ def _make(cls, path, kwargs, field=None):
         raise ConfigError(f"{path}.{field(str(err))}" if field else path, str(err)) from None
 
 
-def require_memory(need: int, what: str):
-    """Refuse at `dimension` an allocation of `need` bytes beyond physical memory."""
+def require_memory(need: int, what: str, path: str = "dimension"):
+    """Refuse at `path` an allocation of `need` bytes beyond physical memory."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
-        raise ConfigError("dimension", f"{what} need {need} bytes, "
-                                       f"more than the {memory} bytes of physical memory")
+        raise ConfigError(path, f"{what} need {need} bytes, "
+                                f"more than the {memory} bytes of physical memory")
 
 
 def _entry(value, path) -> complex:
@@ -308,6 +308,9 @@ def parse_config(data) -> ExperimentConfig:
             if r + band > dimension:
                 raise ConfigError(f"windows.{key}[{i}]",
                                   f"cap {r} plus bandwidth {band} exceeds dimension {dimension}")
+    if caps or schedule:  # the unit solver's (n, c, c) stack of corners, c = cap + b
+        c = max([*caps, *(r for _, r in schedule)]) + band
+        require_memory(model.n * c * c * 16, f"{model.n} operator corners of size {c}", "model.n")
 
     functionals = tuple(_functional(f, f"functionals[{i}]", model.n, gauges[0], dimension, band)
                         for i, f in enumerate(top.get("functionals", ())))

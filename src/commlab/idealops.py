@@ -153,6 +153,10 @@ class HermitianTuple:
     def dtype(self) -> np.dtype:
         return self.diagonals.dtype
 
+    def commutator_corner(self, s: int) -> int:
+        """The corner c = min(N, s + b) outside which [T_j, B] vanishes for s x s blocks B."""
+        return min(self.dimension, s + self.bandwidth)
+
     def corner(self, c: int) -> np.ndarray:
         """The read-only (n, c, c) stack of the members' leading c x c corners."""
         if not 0 <= c <= self.dimension:
@@ -247,7 +251,7 @@ def corner_commutators(tau: HermitianTuple, block: np.ndarray) -> tuple[np.ndarr
     B stands for the N x N operator supported in its leading s-corner; the
     commutators of such an operator vanish outside the c-corner.
     """
-    c = min(tau.dimension, block.shape[0] + tau.bandwidth)
+    c = tau.commutator_corner(block.shape[0])
     a = block if block.shape[0] == c else embed(block, c)  # no N x N copy at full support
     return tuple(band_commutator(t, a, tau.bandwidth) for t in tau.corner(c))
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
-from .gauges import (GaugeSpec, _frobenius, diagonal_or_none, gauge_norm,
-                     norm_subgradient, norm_value_and_subgradient)
-from .idealops import HermitianTuple, band_commutator, corner_commutators, embed
+from .gauges import GaugeSpec, _frobenius, diagonal_or_none, norm_value_and_subgradient
+from .gauges import gauge_norm  # noqa: F401  (read as commlab.qau.gauge_norm by the bench tracer)
+from .idealops import HermitianTuple, band_commutator, embed
 
 EIG_TOL = 1e-10
 MONOTONE_TOL = 1e-6
@@ -113,9 +113,22 @@ class UnitElement:
         return embed(self.block, self.dimension)
 
 
+def _member_values(gauge: GaugeSpec, ts: np.ndarray, block: np.ndarray,
+                   band: int) -> tuple[np.ndarray, np.ndarray]:
+    """|[T_j, A]|_gauge and a subgradient D_j for each member, from one stacked call.
+
+    ts is the (n, c, c) stack of the members' c-corners, c >= cap + b, where
+    the commutators of the cap block A live.  The optimizer's start, its
+    iterates and the schedule's norms all come from here, so they share bits.
+    """
+    return norm_value_and_subgradient(
+        gauge, band_commutator(ts, embed(block, ts.shape[-1]), band))
+
+
 def _member_norms(tau: HermitianTuple, gauge: GaugeSpec, block: np.ndarray) -> tuple[float, ...]:
-    """The gauge norms |[T_j, A]| of the unit with cap block A, member by member."""
-    return tuple(gauge_norm(gauge, k) for k in corner_commutators(tau, block))
+    """The gauge norms |[T_j, A]| of the unit with cap block A, on its commutator corner."""
+    ts = tau.corner(tau.commutator_corner(block.shape[0]))
+    return tuple(_member_values(gauge, ts, block, tau.bandwidth)[0].tolist())
 
 
 def _hermitize(block: np.ndarray) -> np.ndarray:
@@ -218,59 +231,43 @@ def optimize_unit(tau: HermitianTuple, gauge: GaugeSpec, floor_m: int, cap_r: in
 
     Projected subgradient descent from the ramp by `_descend`: every trial
     steps from the best unit so far, and the search ends after PATIENCE
-    consecutive halvings of the step.  The ramp start is valued as
-    `build_schedule` values it, so the result never exceeds the ramp's
-    schedule norm, bitwise.  Each iterate takes one factorization per
-    member, `norm_value_and_subgradient`, for both the member's norm and
-    its subgradient D: one `eigh` of the commutator's Gram matrix for the
-    sup gauge, whose D is rank one, and one full SVD for the gauges other
-    than Schatten-2.  Only the argmax member's D (lowest index wins ties)
-    is kept, for the next step.  Full SVDs and `eigh` also overlap across
-    `k_estimate`'s worker threads where value-only SVDs do not: with one
-    BLAS thread, two threads run full SVDs 1.4-2.1x and the Gram `eigh`
-    1.6-2.2x faster than one at c = 49 to 300, and value-only SVDs
-    0.9-1.0x (2-core Xeon, OpenBLAS 0.3.31).
+    consecutive halvings of the step.  The start and every iterate are
+    valued by `_member_values`, as `build_schedule` values its units, so the
+    result never exceeds the ramp's schedule norm, bitwise.  A valuation
+    gives every member's norm and subgradient D_j from one stacked call: one
+    `eigh` of the Gram matrices for the sup gauge, whose D is rank one, and
+    one full SVD for the gauges other than Schatten-2.  The argmax member's
+    D (lowest index wins ties) steers the next step.  Full SVDs and `eigh`
+    overlap across `k_estimate`'s worker threads where value-only SVDs do
+    not: with one BLAS thread, two threads run full SVDs 1.4-2.1x and the
+    Gram `eigh` 1.6-2.2x faster than one at c = 49 to 300, and value-only
+    SVDs 0.9-1.0x (2-core Xeon, OpenBLAS 0.3.31).
     """
     _check_iterations(max_iterations)
     _validate_window(tau, floor_m, cap_r)
-    dim = tau.dimension
     band = tau.bandwidth
+    # every commutator of the search lives on this corner, taken once
+    ts = tau.corner(tau.commutator_corner(cap_r))
+
+    def evaluate(block: np.ndarray) -> tuple[float, np.ndarray]:
+        """The value max_j |[T_j, A]| and herm [T_j, D_j] on the cap block for the argmax j."""
+        values, ds = _member_values(gauge, ts, block, band)
+        j = int(np.argmax(values))  # lowest index wins ties
+        return float(values[j]), _hermitize(band_commutator(ts[j], ds[j], band)[:cap_r, :cap_r])
 
     if floor_m == cap_r:
         # Degenerate window: the only feasible unit is the projection itself.
-        unit = _make_unit(np.eye(cap_r, dtype=tau.dtype), floor_m, dim)
-        value = max(_member_norms(tau, gauge, unit.block))
+        unit = _make_unit(np.eye(cap_r, dtype=tau.dtype), floor_m, tau.dimension)
+        value, _ = evaluate(unit.block)
         return OptimizeResult(unit=unit, value=value, iterations=0,
                               stop_reason="zero-gradient", trace=((0, value, value),))
-
-    # every commutator of the search lives on this corner, taken once
-    corner = cap_r + band
-    ts = tau.corner(corner)
-
-    def direction(j: int, d: np.ndarray) -> np.ndarray:
-        """herm [T_j, D] on the cap block: a subgradient of |[T_j, A]| for D aligned with it."""
-        g = band_commutator(ts[j], d, band)
-        return _hermitize(g[:cap_r, :cap_r])
-
-    def evaluate(block: np.ndarray) -> tuple[float, np.ndarray]:
-        a = embed(block, corner)
-        value = -np.inf
-        for j, t in enumerate(ts):
-            v, d = norm_value_and_subgradient(gauge, band_commutator(t, a, band))
-            if v > value:  # lowest index wins ties; only the argmax member's D is kept
-                value, top = v, (j, d)
-        return value, direction(*top)
 
     # The ramp is certified by ramp_unit, and _project_window is exact, so
     # iterates need no certificate; the returned unit is certified by _make_unit.
     x = np.asarray(ramp_unit(tau, floor_m, cap_r).block, dtype=tau.dtype)
-    norms = _member_norms(tau, gauge, x)  # as build_schedule values the ramp
-    value = max(norms)
-    j = norms.index(value)
-    g = direction(j, norm_subgradient(gauge, band_commutator(ts[j], embed(x, corner), band)))
     block, value, stop_reason, trace = _descend(
-        x, value, g, evaluate, lambda b: _project_window(b, floor_m), max_iterations)
-    return OptimizeResult(unit=_make_unit(block, floor_m, dim), value=float(value),
+        x, *evaluate(x), evaluate, lambda b: _project_window(b, floor_m), max_iterations)
+    return OptimizeResult(unit=_make_unit(block, floor_m, tau.dimension), value=float(value),
                           iterations=len(trace) - 1, stop_reason=stop_reason,
                           trace=tuple(trace))
 

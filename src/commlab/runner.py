@@ -207,9 +207,12 @@ def _report_payload(report: DecompositionReport) -> dict:
 def stage_decompose(config: ExperimentConfig) -> dict:
     if not config.functionals:
         raise ConfigError("functionals", "required for the decompose stage")
-    # the only stage that allocates N x N arrays: the identity and the draws
-    count = config.sample.count + 1
+    # the only stage that allocates N x N arrays: the identity and the draws,
+    # and the n commutators of one operator at a time
+    count, n = config.sample.count + 1, config.model.n
     require_memory(count * 16 * config.dimension ** 2, f"{count} dense test operators")
+    require_memory((count + n) * 16 * config.dimension ** 2,
+                   f"{n} commutators and {count} dense test operators", "model.n")
     tau = config.instantiate()
     gauge = config.primary_gauge
     schedule = _build_configured_schedule(config, tau)

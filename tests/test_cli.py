@@ -5,6 +5,7 @@ import contextlib
 import copy
 import functools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -235,6 +236,39 @@ def test_cli_refuses_bad_config_with_path(tmp_path, capsys, stage, edit, path):
     assert code == 2
     assert f"config error: {path}: " in err
     assert "Traceback" not in err
+
+
+def _physical_memory():
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _no_tuple(self):
+    raise AssertionError("the tuple was instantiated before the memory check")
+
+
+@pytest.mark.parametrize("stage", ["k-estimate", "decompose"])
+def test_cli_refuses_tuple_stacks_beyond_memory_at_model_n(tmp_path, capsys, monkeypatch, stage):
+    # diagonal-grid diagonals that fit, but n members stacked beyond physical
+    # memory: the unit solver's (n, c, c) corners (every stage, from the caps)
+    # or decompose's n N x N commutators of one operator.  Both are refused
+    # before anything is allocated, the tuple's diagonals included.
+    monkeypatch.setattr(commlab.config.ExperimentConfig, "instantiate", _no_tuple)
+    entries = _physical_memory() // 16
+    if stage == "k-estimate":
+        n = 64
+        dim = 2 * math.isqrt(entries // n)  # n dim^2 is four times the entries
+        windows = {"floors": [4], "caps": [dim], "schedule": [[2, 4], [4, 8]]}
+    else:
+        dim = math.isqrt(entries // 64)  # 7 dense operators of dim^2 fit, 7 + 64 do not
+        n, windows = 64, {"floors": [4], "caps": [16], "schedule": [[2, 4], [4, 8]]}
+    cfg = variant(model={"name": "diagonal-grid", "n": n}, dimension=dim, windows=windows)
+    out = tmp_path / "o"
+    code = run_cli(stage, "--config", write_config(tmp_path, cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: model.n: {n} " in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def _at(cfg, section):
@@ -479,6 +513,23 @@ def test_report_refuses_a_malformed_artifact(tmp_path, capsys, text, reason):
     assert f"artifact error: {tmp_path / 'k_estimate.json'}: malformed artifact ({reason}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k_estimate.json"]
+
+
+def test_report_takes_only_out():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices["report"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--out"}
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", "3"], ["--jobs", "2"],
+                                  ["--config", "cfg.json"]], ids=lambda f: f[0] + f[1])
+def test_report_refuses_the_flags_it_does_not_read(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("report", "--out", str(tmp_path), *flag)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_rerun_is_byte_identical(tmp_path):

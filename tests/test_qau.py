@@ -14,6 +14,7 @@ from commlab import (
     instantiate_model,
     k_estimate,
     ky_fan,
+    ky_fan_dual,
     optimize_unit,
     ramp_unit,
     schatten,
@@ -25,6 +26,8 @@ from commlab.qau import _descend
 
 LAP = OperatorModelSpec(name="lap-pos")
 GRID2 = OperatorModelSpec(name="diagonal-grid", n=2)
+# every gauge family, over the Frobenius (schatten-2), Gram eigh (sup) and full SVD routes
+FAMILIES = [schatten(1), schatten(2), schatten(3), sup_gauge(), ky_fan(2), ky_fan_dual(2)]
 
 
 def ramp_diagonal(m, r, n):
@@ -249,12 +252,22 @@ def test_negative_max_iterations_is_refused(solve):
 
 
 @pytest.mark.parametrize("window", [(16, 32), (160, 256)], ids=lambda w: "%d-%d" % w)
-@pytest.mark.parametrize("gauge", [schatten(2), sup_gauge()], ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", FAMILIES, ids=lambda g: g.label)
 def test_ramp_value_agrees_between_optimizer_and_schedule(gauge, window):
-    # both take [T_j, A] on the same (cap + bandwidth) corner, so bitwise equal
+    # both value [T_j, A] by one function on the same (cap + bandwidth) corner
     tau = instantiate_model(LAP, 512)
     start = optimize_unit(tau, gauge, *window, max_iterations=0).value
     assert start == build_schedule(tau, gauge, [window]).commutator_norms[0]
+
+
+@pytest.mark.parametrize("window", [(8, 48), (16, 48)], ids=lambda w: "%d-%d" % w)
+@pytest.mark.parametrize("gauge", FAMILIES, ids=lambda g: g.label)
+def test_optimized_value_agrees_between_optimizer_and_schedule(gauge, window):
+    # the schedule values the optimizer's unit as the optimizer valued it, bitwise
+    tau = instantiate_model(LAP, 256)
+    res = optimize_unit(tau, gauge, *window)
+    schedule = build_schedule(tau, gauge, [window], mode="optimized-then-monotonized")
+    assert res.value == schedule.commutator_norms[0]
 
 
 def test_degenerate_window_returns_projection():
@@ -283,15 +296,14 @@ def test_optimizer_reports_its_iterations_and_stop_reason(model, window, max_ite
 
 
 def test_optimizer_factors_each_commutator_once_per_iterate(monkeypatch):
-    # The start is valued as build_schedule values it: one value-only SVD per
-    # member.  The sup subgradient takes no SVD but one eigh of the Gram
-    # matrix of a (cap + bandwidth)-sized commutator: one for the start's
-    # argmax member, then one per member per iterate, which gives both its
-    # norm and its subgradient.  The window projection's eigh of the
-    # (cap - floor)-sized tail is told apart by its shape.
+    # Every valuation, the start's included, is one stacked call over the
+    # members: for the sup gauge no SVD but one eigh of the (n, c, c) stack
+    # of Gram matrices of the (cap + bandwidth)-sized commutators, which gives
+    # every member's norm and subgradient.  The window projection's eigh of
+    # the (cap - floor)-sized tail is told apart by its shape.
     tau = instantiate_model(LAP, 64)
     floor_m, cap_r = 4, 20
-    svd_calls, eigh_sizes = [], []
+    svd_calls, eigh_shapes = [], []
     svd, eigh = np.linalg.svd, np.linalg.eigh
 
     def recording_svd(a, *args, **kwargs):
@@ -299,17 +311,18 @@ def test_optimizer_factors_each_commutator_once_per_iterate(monkeypatch):
         return svd(a, *args, **kwargs)
 
     def recording_eigh(a, *args, **kwargs):
-        eigh_sizes.append(np.shape(a)[-1])
+        eigh_shapes.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     res = optimize_unit(tau, sup_gauge(), floor_m, cap_r, max_iterations=10)
     assert res.iterations == 10
-    assert svd_calls == [False] * tau.n
-    assert eigh_sizes.count(cap_r + tau.bandwidth) == 1 + tau.n * res.iterations
-    assert eigh_sizes.count(cap_r - floor_m) == res.iterations
-    assert len(eigh_sizes) == 1 + (tau.n + 1) * res.iterations
+    assert svd_calls == []
+    corner = cap_r + tau.bandwidth
+    assert eigh_shapes.count((tau.n, corner, corner)) == 1 + res.iterations
+    assert eigh_shapes.count((cap_r - floor_m,) * 2) == res.iterations
+    assert len(eigh_shapes) == 1 + 2 * res.iterations
 
 
 def test_objective_convexity_surrogate():
