@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import GaugeSpec, gauge_norm, operator_norm, support_size
+from .gauges import GaugeSpec, _divide, _range_scale, gauge_norm, operator_norm, support_size
 
 HERMITIAN_TOL = 1e-12
 
@@ -265,6 +265,24 @@ def commutator_tuple(tau: HermitianTuple, s) -> tuple[np.ndarray, ...]:
     size = support_size(sm)
     ks = corner_commutators(tau, sm[:size, :size])
     return ks if ks[0].shape[0] == dim else tuple(embed(k, dim) for k in ks)
+
+
+def commutator_row_norms(commutators) -> np.ndarray:
+    """The (n, N) row norms of a tuple of N x N matrices, such as `commutator_tuple` returns.
+
+    Row i of member j holds |K_j[i, :]|, the sum of whose squares over i is
+    |K_j|_F^2.  Each member is divided by its `_range_scale` before its squares
+    are summed, as `gauges._frobenius` divides it, so no square overflows or
+    goes subnormal; a row norm beyond the float range is inf.
+    """
+    rows = []
+    with np.errstate(over="ignore"):  # a row norm beyond the float range is inf
+        for k in commutators:
+            scale = _range_scale(k, squares=True)
+            m = np.ascontiguousarray(_divide(k, scale))
+            parts = m.view(m.real.dtype) if m.dtype.kind == "c" else m  # real and imaginary parts
+            rows.append(np.sqrt((parts * parts).sum(axis=1)) * scale)
+    return np.array(rows)
 
 
 def tuple_gauge_norm(matrices, gauge: GaugeSpec) -> float:

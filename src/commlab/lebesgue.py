@@ -25,14 +25,15 @@ from .functionals import (
     rows_read,
     trace_part_norms,
 )
-from .gauges import (GaugeSpec, _check_gauge, _sorted_gauge_value, diagonal_or_none,
-                     gauge_norm, operator_norm)
-from .idealops import HermitianTuple, commutator_tuple, embed
+from .gauges import (GaugeSpec, _check_gauge, _frobenius, _sorted_gauge_value,
+                     diagonal_or_none, gauge_norm, operator_norm, schatten)
+from .idealops import HermitianTuple, commutator_row_norms, commutator_tuple, embed
 from .qau import UnitElement, UnitSchedule, _member_norms
 from .sampling import TestOperator
 
 RESIDUAL_TOL = 1e-8
 SOUNDNESS_TOL = 1e-9
+_FROBENIUS = schatten(2.0)
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,49 @@ def _trace_factors(tp: TracePart, tau: HermitianTuple, units):
     return x1, y_norms, x_terms
 
 
-def _shrunk_norms(gauge: GaugeSpec, unit: UnitElement, commutators, wanted) -> list:
+def _by_rows(gauge: GaugeSpec, diag) -> bool:
+    """Whether `_shrunk_norms` takes a unit with diagonal diag (None when the
+    unit is not diagonal) from the row norms of [T_j, S] alone."""
+    return diag is not None and gauge == _FROBENIUS
+
+
+def _shrunk_norms(gauge: GaugeSpec, unit: UnitElement, diag, rows, commutators,
+                  wanted) -> list:
     """Per operator and unit: |(I - A) K_j|_gauge for each wanted, nonzero
-    K_j = [T_j, S], else None.  A diagonal A (a ramp) scales the leading r
-    rows of K_j, the same bits as A @ K_j."""
-    r, a, diag = unit.cap_r, unit.block, diagonal_or_none(unit.block)
+    K_j = [T_j, S], else None; diag is A's diagonal, None when A is not diagonal.
+
+    At Schatten-2 a diagonal A (a ramp) scales row i < r of K_j by 1 - a_i, so
+    the norm is the Frobenius norm of the row norms of K_j (`rows`, as
+    `commutator_row_norms` gives them) scaled the same way, and `commutators`
+    is not read.  Otherwise the norm is taken of (I - A) K_j, formed from
+    `commutators`: a diagonal A scales the leading r rows of K_j, the same
+    bits as A @ K_j.
+    """
+    r, a = unit.cap_r, unit.block
     norms = [None] * len(wanted)
+    if _by_rows(gauge, diag):
+        factors = np.abs(1.0 - diag)
+        for j, (nu, want) in enumerate(zip(rows, wanted)):
+            if want and nu.any():
+                norms[j] = _frobenius(np.concatenate((factors * nu[:r], nu[r:])))
+        return norms
     for j, (k, want) in enumerate(zip(commutators, wanted)):
         if want and k.any():
             shrunk = np.array(k, dtype=np.complex128)
             shrunk[:r] -= a @ k[:r] if diag is None else diag[:, None] * k[:r]
             norms[j] = gauge_norm(gauge, shrunk)
     return norms
+
+
+def _checked_rows(rows, tau: HermitianTuple) -> np.ndarray:
+    """`s_rows` as a float array, refused unless it has shape (n, N) and finite,
+    nonnegative entries."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (tau.n, tau.dimension):
+        raise ValueError(f"s_rows must have shape {(tau.n, tau.dimension)}, got {rows.shape}")
+    if not np.isfinite(rows).all() or (rows < 0.0).any():
+        raise ValueError("s_rows must have finite, nonnegative entries")
+    return rows
 
 
 def _certificate(x_term, shrunk, member_norms, y_norms, s_norm: float) -> float:
@@ -126,7 +158,7 @@ def _certificate(x_term, shrunk, member_norms, y_norms, s_norm: float) -> float:
 
 def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
                          unit: UnitElement, s, *, s_norm: float | None = None,
-                         s_commutators: tuple[np.ndarray, ...] | None = None) -> float:
+                         s_rows: np.ndarray | None = None) -> float:
     """Certified bound on |trace part at S minus trace part at A S|.
 
     Three terms, each exact at the instantiated dimension:
@@ -135,22 +167,32 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
       + sum_j |(I - A)[S, T_j]|_gauge * |Y_j|_dual
       + sum_j |[A, T_j]|_gauge * |Y_j|_dual * ||S||
 
-    `s_norm` and `s_commutators` (the tuple [T_j, S]) can be passed in when
-    the caller evaluates many units against the same S.  `decompose` sums
-    the same factors, each taken once at the level it depends on.
+    `s_norm` and `s_rows`, the (n, N) row norms of the tuple [T_j, S] that
+    `commutator_row_norms` gives (a `TestOperator` carries them), can be
+    passed in when the caller evaluates many units against the same S.  At
+    Schatten-2 a diagonal unit (a ramp) takes the middle term from the row
+    norms alone; any other unit or gauge forms the tuple [T_j, S].
+    `decompose` sums the same factors, each taken once at the level it
+    depends on.
     """
     _check_gauge(gauge, trace_part=[tp])
     _, y_norms, (x_term,) = _trace_factors(tp, tau, [unit])
     sm = np.asarray(s)
     if sm.shape != (tau.dimension,) * 2 or unit.dimension != tau.dimension:
         raise ValueError("operand or unit dimension does not match the tuple")
+    if s_rows is not None:
+        s_rows = _checked_rows(s_rows, tau)
     if s_norm is None:
         s_norm = operator_norm(sm)
     if not any(y_norms):
         return _certificate(x_term, (), (), y_norms, s_norm)
-    if s_commutators is None:
-        s_commutators = commutator_tuple(tau, sm)
-    return _certificate(x_term, _shrunk_norms(gauge, unit, s_commutators, y_norms),
+    diag = diagonal_or_none(unit.block)
+    commutators = ()
+    if not _by_rows(gauge, diag):
+        commutators = commutator_tuple(tau, sm)
+    elif s_rows is None:
+        s_rows = commutator_row_norms(commutator_tuple(tau, sm))
+    return _certificate(x_term, _shrunk_norms(gauge, unit, diag, s_rows, commutators, y_norms),
                         _member_norms(tau, gauge, unit.block), y_norms, s_norm)
 
 
@@ -193,7 +235,9 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     per operator in test-set order, the additivity one last.  Each bound
     factor is formed once, at the level it depends on: per unit, per
     operator or per functional.  The norms of the units and of S are those the
-    schedule and the TestOperators carry, which must be in this gauge.
+    schedule and the TestOperators carry, which must be in this gauge; at
+    Schatten-2 a ramp's |(I - A_k)[T_j, S]| comes from the carried row norms,
+    so a ramp schedule forms no N x N commutator.
     """
     phis = tuple(phis)
     tps = [phi.trace_part or TracePart.zero(tau.n, gauge) for phi in phis]
@@ -201,10 +245,15 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     steps, member_norms = schedule.steps, schedule.member_norms
     factors = [_trace_factors(tp, tau, steps) for tp in tps]
     wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
-    # N x N commutators one operator at a time, none where the carried norm is 0 (the identity)
-    per_op = (commutator_tuple(tau, op.matrix) if any(wanted) and op.commutator_norm else ()
+    diags = [diagonal_or_none(unit.block) for unit in steps]
+    # N x N commutators only for units off the row route (not a ramp, or not
+    # Schatten-2), one operator at a time, none where the carried norm is 0 (the identity)
+    by_matrix = any(wanted) and not all(_by_rows(gauge, d) for d in diags)
+    per_op = (commutator_tuple(tau, op.matrix) if by_matrix and op.commutator_norm else ()
               for op in test_set)
-    shrunk = [[_shrunk_norms(gauge, unit, ks, wanted) for unit in steps] for ks in per_op]
+    shrunk = [[_shrunk_norms(gauge, unit, d, op.commutator_rows, ks, wanted)
+               for unit, d in zip(steps, diags)]
+              for op, ks in zip(test_set, per_op)]
 
     reports = []
     for i, (phi, (x1, y_norms, x_terms)) in enumerate(zip(phis, factors)):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauges import GaugeSpec, operator_norm
-from .idealops import HermitianTuple, commutator_tuple, tuple_gauge_norm
+from .idealops import HermitianTuple, commutator_row_norms, commutator_tuple, tuple_gauge_norm
 
 KINDS = ("random-hermitian", "banded", "finitely-supported")
 
@@ -35,6 +35,9 @@ class TestOperator:
 
     `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge in the
     `gauge` it was drawn with; their max is the max-form norm.
+    `commutator_rows` is the read-only (n, N) array of the row norms of the
+    [T_j, S] (`commutator_row_norms`), from which the recovery bounds take
+    |(I - A)[T_j, S]|_2 for a diagonal unit A without forming [T_j, S] again.
     """
 
     op_id: str
@@ -42,6 +45,7 @@ class TestOperator:
     kind: str
     operator_norm: float
     commutator_norm: float
+    commutator_rows: np.ndarray
     gauge: GaugeSpec
 
     @property
@@ -75,25 +79,34 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
 
     Each nonzero draw is scaled so its max-form norm (operator norm vs
     commutator gauge norm) is one; the identity already has norm one and
-    commutes with the tuple.  Both norms are carried over the same scale.
+    commutes with the tuple.  Both norms and the commutators' row norms are
+    carried over the same scale; the commutators themselves are dropped
+    before the next draw.
     """
     rng = np.random.default_rng(spec.seed)
     dim = tau.dimension
     eye = np.eye(dim, dtype=np.complex128)
-    eye.setflags(write=False)
-    ops = [TestOperator(op_id="identity", matrix=eye, kind="identity",
-                        operator_norm=1.0, commutator_norm=0.0, gauge=gauge)]
+    zeros = np.zeros((tau.n, dim))
+    for a in (eye, zeros):
+        a.setflags(write=False)
+    ops = [TestOperator(op_id="identity", matrix=eye, kind="identity", operator_norm=1.0,
+                        commutator_norm=0.0, commutator_rows=zeros, gauge=gauge)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         m = _sample_matrix(rng, kind, dim, spec.support, spec.bandwidth)
         s_norm = operator_norm(m)
-        c_norm = tuple_gauge_norm(commutator_tuple(tau, m), gauge)
+        ks = commutator_tuple(tau, m)
+        c_norm = tuple_gauge_norm(ks, gauge)
+        rows = commutator_row_norms(ks)
+        del ks
         norm = max(s_norm, c_norm)
         if norm > 1e-14:
             m = m / norm
             s_norm /= norm
             c_norm /= norm
-        m.setflags(write=False)
-        ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind,
-                                operator_norm=s_norm, commutator_norm=c_norm, gauge=gauge))
+            rows /= norm
+        for a in (m, rows):
+            a.setflags(write=False)
+        ops.append(TestOperator(op_id=f"{kind}-{i}", matrix=m, kind=kind, operator_norm=s_norm,
+                                commutator_norm=c_norm, commutator_rows=rows, gauge=gauge))
     return tuple(ops)

@@ -19,6 +19,7 @@ from commlab import (
     TailStateSpec,
     TracePart,
     build_schedule,
+    commutator_row_norms,
     commutator_tuple,
     conjugate_gauge,
     coordinate_tail_states,
@@ -231,11 +232,11 @@ def test_criterion_5_recovery_certificates(capsys, lap400):
         s = random_hermitian(rng, 400)
         target = eval_trace_part(tp, lap400, s)
         s_norm = operator_norm(s)
-        s_comms = commutator_tuple(lap400, s)
+        s_rows = commutator_row_norms(commutator_tuple(lap400, s))
         for unit in schedule.steps:
             gap = abs(target - eval_trace_part(tp, lap400, unit.matrix @ s))
             bound = recovery_error_bound(tp, lap400, G2, unit, s,
-                                         s_norm=s_norm, s_commutators=s_comms)
+                                         s_norm=s_norm, s_rows=s_rows)
             if gap > bound + 1e-9:
                 sound = False
         if gap > 1e-6:  # the last step's gap

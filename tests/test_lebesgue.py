@@ -18,6 +18,7 @@ from commlab import (
     TracePart,
     build_schedule,
     combine,
+    commutator_row_norms,
     commutator_tuple,
     conjugate_gauge,
     coordinate_tail_states,
@@ -42,7 +43,8 @@ from commlab import (
     sup_gauge,
     tuple_gauge_norm,
 )
-from commlab import functionals, lebesgue, sampling
+from commlab import functionals, idealops, lebesgue, sampling
+from commlab.gauges import _frobenius, diagonal_or_none
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -238,6 +240,69 @@ def test_bound_input_validation():
         recovery_error_bound(tp, tau, G2, ramp_unit(lap(40), 4, 12), np.eye(32))
 
 
+@pytest.mark.parametrize("rows", [np.zeros((2, 31)), np.zeros((1, 32)), np.zeros(64)],
+                         ids=["short-rows", "one-member", "flat"])
+def test_bound_refuses_precomputed_rows_of_the_wrong_shape(rows):
+    rng = np.random.default_rng(69)
+    tau = lap(32)
+    with pytest.raises(ValueError, match="s_rows"):
+        recovery_error_bound(random_trace_part(rng), tau, G2, ramp_unit(tau, 4, 12),
+                             np.eye(32), s_rows=rows)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_bound_refuses_precomputed_rows_with_a_bad_entry(bad):
+    rng = np.random.default_rng(69)
+    tau = lap(32)
+    s = hermitian(rng, 32)
+    rows = np.array(commutator_row_norms(commutator_tuple(tau, s)))
+    rows[1, 7] = bad
+    with pytest.raises(ValueError, match="s_rows"):
+        recovery_error_bound(random_trace_part(rng), tau, G2, ramp_unit(tau, 4, 12), s,
+                             s_rows=rows)
+
+
+@pytest.mark.parametrize("model", ["lap-pos", "shift-parts"])
+def test_row_route_matches_the_matrix_route_on_ramps(model):
+    # every draw kind; the matrix route is the one a non-diagonal unit takes (diag None)
+    tau = instantiate_model(OperatorModelSpec(name=model), DIM)
+    sched = build_schedule(tau, G2, WINDOWS)
+    ops = generate_test_set(SampleSpec(seed=91, count=6, kinds=sampling.KINDS), tau, G2)
+    wanted = [True] * tau.n
+    for op in ops:
+        ks = commutator_tuple(tau, op.matrix)
+        fresh = commutator_row_norms(ks)
+        assert not op.commutator_rows.flags.writeable
+        assert np.allclose(op.commutator_rows, fresh, rtol=1e-13, atol=0.0)
+        for unit in sched.steps:
+            diag = diagonal_or_none(unit.block)
+            want = lebesgue._shrunk_norms(G2, unit, None, (), ks, wanted)
+            for rows in (op.commutator_rows, fresh):
+                got = lebesgue._shrunk_norms(G2, unit, diag, rows, (), wanted)
+                assert [g is None for g in got] == [w is None for w in want]
+                for g, w in zip(got, want):
+                    assert g is None or g == pytest.approx(w, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_row_route_is_range_safe(size):
+    # squares of these entries overflow or go subnormal; the suite turns a
+    # RuntimeWarning into an error
+    rng = np.random.default_rng(92)
+    tau = lap(48)
+    unit = ramp_unit(tau, 6, 20)
+    diag = diagonal_or_none(unit.block)
+    ks = [size * random_block(rng, 48), size * rng.standard_normal((48, 48))]
+    rows = commutator_row_norms(ks)
+    assert np.isfinite(rows).all() and rows.min() > 0.0
+    got = lebesgue._shrunk_norms(G2, unit, diag, rows, (), [True, True])
+    for k, nu, g in zip(ks, rows, got, strict=True):
+        assert _frobenius(nu) == pytest.approx(_frobenius(k), rel=1e-13, abs=0.0)
+        shrunk = np.array(k)
+        shrunk[:20] -= diag[:, None] * k[:20]
+        assert g == pytest.approx(_frobenius(shrunk), rel=1e-13, abs=0.0)
+
+
 def test_gauges_equal_by_value_so_a_relabelled_trace_part_is_bounded():
     assert conjugate_gauge(schatten(1)) == sup_gauge()
     assert conjugate_gauge(conjugate_gauge(sup_gauge())) == sup_gauge()
@@ -372,6 +437,7 @@ def test_decompose_bounds_are_bitwise_those_of_recovery_error_bound(corner_case,
     ops = tuple(sampling.TestOperator(
                     op_id=f"S-{i}", matrix=s, kind="banded", operator_norm=operator_norm(s),
                     commutator_norm=tuple_gauge_norm(commutator_tuple(tau, s), gauge),
+                    commutator_rows=commutator_row_norms(commutator_tuple(tau, s)),
                     gauge=gauge)
                 for i, s in enumerate(matrices))
     for sched in schedules:
@@ -405,11 +471,13 @@ def test_decompose_of_several_functionals_gives_each_its_own_report():
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
+    # a ramp schedule at Schatten-2 reads the carried row norms and forms no
+    # commutator; optimized units, and every unit at Schatten-1, form each
+    # operator's commutators once
     rng = np.random.default_rng(88)
     tau = lap()
-    sched = build_schedule(tau, G2, WINDOWS)
-    phis = [FunctionalSpec(trace_part=random_trace_part(rng)) for _ in range(count)]
-    ops = sample_ops(tau, seed=89, count=3)
+    blocks = [(random_block(rng, 4), random_block(rng, 4), random_block(rng, 4))
+              for _ in range(count)]
     calls = []
     original = lebesgue.commutator_tuple
 
@@ -418,11 +486,38 @@ def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
         return original(tau, s)
 
     monkeypatch.setattr(lebesgue, "commutator_tuple", counting)
-    reports = decompose(phis, sched, tau, G2, ops)
-    assert len(reports) == count
-    # the identity's carried commutator norm is zero, so it takes none
-    assert [id(s) for s in calls] == [id(op.matrix) for op in ops if op.commutator_norm]
-    assert len(calls) == len(ops) - 1
+    for gauge, mode, once in [(G2, "ramp", False), (G2, "optimized-then-monotonized", True),
+                              (schatten(1), "ramp", True)]:
+        sched = build_schedule(tau, gauge, WINDOWS, mode=mode, max_iterations=10)
+        phis = [FunctionalSpec(trace_part=TracePart(x=x, ys=(y1, y2), gauge=gauge))
+                for x, y1, y2 in blocks]
+        ops = sample_ops(tau, seed=89, count=3, gauge=gauge)
+        calls.clear()
+        reports = decompose(phis, sched, tau, gauge, ops)
+        assert len(reports) == count
+        # the identity's carried commutator norm is zero, so it takes none
+        want = [id(op.matrix) for op in ops if op.commutator_norm] if once else []
+        assert [id(s) for s in calls] == want
+        assert len(calls) == (len(ops) - 1) * once
+
+
+def test_decompose_forms_no_n_sized_commutator_on_a_schatten_2_ramp(monkeypatch):
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phi = FunctionalSpec(trace_part=random_trace_part(np.random.default_rng(93)),
+                         singular_part=coordinate_tail_states(TAIL_RANGE))
+    ops = sample_ops(tau, seed=94, count=3)
+    shapes = []
+    original = idealops.band_commutator
+
+    def recording(t, s, bandwidth):
+        shapes.append(s.shape)
+        return original(t, s, bandwidth)
+
+    monkeypatch.setattr(idealops, "band_commutator", recording)
+    (report,) = decompose([phi], sched, tau, G2, ops)
+    assert report.status == "ok"
+    assert all(shape[-1] < DIM for shape in shapes)
 
 
 def test_decompose_forms_each_product_once(monkeypatch):
