@@ -224,9 +224,12 @@ def support_size(matrix: np.ndarray) -> int:
 
 
 def diagonal_or_none(matrix: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a square matrix that vanishes off it, else None."""
+    """The diagonal of a square matrix that vanishes off it, else None (also for a NaN
+    on it): its nonzero entries are those of the diagonal, counted without a copy."""
     diagonal = np.diagonal(matrix)
-    return diagonal if np.array_equal(matrix, np.diag(diagonal)) else None
+    if matrix.shape[0] != matrix.shape[1] or np.isnan(diagonal).any():
+        return None
+    return diagonal if np.count_nonzero(matrix) == np.count_nonzero(diagonal) else None
 
 
 def operator_norm(matrix) -> float:

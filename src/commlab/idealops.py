@@ -6,7 +6,7 @@ N' > N agrees on the leading N x N corner.  A tuple of n members costs
 n(2b + 1)N numbers, and dense members are formed only as the leading corners
 that a computation reads (`HermitianTuple.corner`).  Together with the
 declared bandwidth b this makes commutators against finitely supported
-matrices exact under truncation: `corner_commutators` computes [T, S] on the
+matrices exact under truncation: `commutator_tuple` computes [T, S] on the
 leading (support + bandwidth) corner c, which is both bitwise reproducible
 across dimensions and cheap when the support is small.  Every [T, S] in the
 package goes through `band_commutator`, which takes a large corner from the
@@ -245,26 +245,23 @@ def band_commutator(t: np.ndarray, s: np.ndarray, bandwidth: int) -> np.ndarray:
     return out
 
 
-def corner_commutators(tau: HermitianTuple, block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The tuple [T_j, B] on its leading c = min(N, s + b) corner, for s x s B.
-
-    B stands for the N x N operator supported in its leading s-corner; the
-    commutators of such an operator vanish outside the c-corner.
-    """
-    c = tau.commutator_corner(block.shape[0])
-    a = block if block.shape[0] == c else embed(block, c)  # no N x N copy at full support
-    return tuple(band_commutator(t, a, tau.bandwidth) for t in tau.corner(c))
-
-
 def commutator_tuple(tau: HermitianTuple, s) -> tuple[np.ndarray, ...]:
-    """The tuple ([T_1, S], ..., [T_n, S]) with [T, S] = TS - ST."""
+    """The tuple ([T_1, S], ..., [T_n, S]) with [T, S] = TS - ST.
+
+    For S supported in its leading s-corner the commutators vanish outside the
+    leading c = min(N, s + b) corner; each is formed there, member by member,
+    by `band_commutator` and embedded at N.
+    """
     sm = np.asarray(s)
     dim = tau.dimension
     if sm.shape != (dim, dim):
         raise ValueError(f"operand dimension {sm.shape} does not match tuple dimension {dim}")
     size = support_size(sm)
-    ks = corner_commutators(tau, sm[:size, :size])
-    return ks if ks[0].shape[0] == dim else tuple(embed(k, dim) for k in ks)
+    c = tau.commutator_corner(size)
+    block = sm[:size, :size]
+    block = block if size == c else embed(block, c)  # no N x N copy at full support
+    ks = tuple(band_commutator(t, block, tau.bandwidth) for t in tau.corner(c))
+    return ks if c == dim else tuple(embed(k, dim) for k in ks)
 
 
 def commutator_row_norms(commutators) -> np.ndarray:

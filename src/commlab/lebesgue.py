@@ -26,8 +26,8 @@ from .functionals import (
     trace_part_norms,
 )
 from .gauges import (GaugeSpec, _check_gauge, _frobenius, _sorted_gauge_value,
-                     diagonal_or_none, gauge_norm, operator_norm, schatten)
-from .idealops import HermitianTuple, commutator_row_norms, commutator_tuple, embed
+                     diagonal_or_none, gauge_norm, schatten)
+from .idealops import HermitianTuple, commutator_tuple, embed
 from .qau import UnitElement, UnitSchedule, _member_norms
 from .sampling import TestOperator
 
@@ -133,15 +133,19 @@ def _shrunk_norms(gauge: GaugeSpec, unit: UnitElement, diag, rows, commutators,
     return norms
 
 
-def _checked_rows(rows, tau: HermitianTuple) -> np.ndarray:
-    """`s_rows` as a float array, refused unless it has shape (n, N) and finite,
-    nonnegative entries."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape != (tau.n, tau.dimension):
-        raise ValueError(f"s_rows must have shape {(tau.n, tau.dimension)}, got {rows.shape}")
-    if not np.isfinite(rows).all() or (rows < 0.0).any():
-        raise ValueError("s_rows must have finite, nonnegative entries")
-    return rows
+def _shrunk_by_unit(gauge: GaugeSpec, tau: HermitianTuple, units, diags, op: TestOperator,
+                    wanted) -> list:
+    """`_shrunk_norms` of op for each unit; diags are the units' `diagonal_or_none`.
+
+    The tuple [T_j, S] is formed only when some unit is off the row route (not
+    a ramp, or not Schatten-2), and never for an S whose carried commutator
+    norm is 0 (the identity).
+    """
+    commutators = ()
+    if any(wanted) and op.commutator_norm and not all(_by_rows(gauge, d) for d in diags):
+        commutators = commutator_tuple(tau, op.matrix)
+    return [_shrunk_norms(gauge, unit, d, op.commutator_rows, commutators, wanted)
+            for unit, d in zip(units, diags)]
 
 
 def _certificate(x_term, shrunk, member_norms, y_norms, s_norm: float) -> float:
@@ -157,9 +161,8 @@ def _certificate(x_term, shrunk, member_norms, y_norms, s_norm: float) -> float:
 
 
 def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
-                         unit: UnitElement, s, *, s_norm: float | None = None,
-                         s_rows: np.ndarray | None = None) -> float:
-    """Certified bound on |trace part at S minus trace part at A S|.
+                         unit: UnitElement, op: TestOperator) -> float:
+    """Certified bound on |trace part at S minus trace part at A S|, S = op.matrix.
 
     Three terms, each exact at the instantiated dimension:
 
@@ -167,33 +170,19 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
       + sum_j |(I - A)[S, T_j]|_gauge * |Y_j|_dual
       + sum_j |[A, T_j]|_gauge * |Y_j|_dual * ||S||
 
-    `s_norm` and `s_rows`, the (n, N) row norms of the tuple [T_j, S] that
-    `commutator_row_norms` gives (a `TestOperator` carries them), can be
-    passed in when the caller evaluates many units against the same S.  At
-    Schatten-2 a diagonal unit (a ramp) takes the middle term from the row
-    norms alone; any other unit or gauge forms the tuple [T_j, S].
-    `decompose` sums the same factors, each taken once at the level it
-    depends on.
+    ||S|| and the row norms of [T_j, S] are those op carries, which must be
+    in this gauge (`measure_test_operator` takes them).  At Schatten-2 a
+    diagonal unit (a ramp) takes the middle term from the row norms alone;
+    any other unit or gauge forms the tuple [T_j, S].  `decompose` sums the
+    same factors, each taken once at the level it depends on.
     """
-    _check_gauge(gauge, trace_part=[tp])
+    _check_gauge(gauge, trace_part=[tp], test_set=[op])
     _, y_norms, (x_term,) = _trace_factors(tp, tau, [unit])
-    sm = np.asarray(s)
-    if sm.shape != (tau.dimension,) * 2 or unit.dimension != tau.dimension:
+    if op.matrix.shape != (tau.dimension,) * 2 or unit.dimension != tau.dimension:
         raise ValueError("operand or unit dimension does not match the tuple")
-    if s_rows is not None:
-        s_rows = _checked_rows(s_rows, tau)
-    if s_norm is None:
-        s_norm = operator_norm(sm)
-    if not any(y_norms):
-        return _certificate(x_term, (), (), y_norms, s_norm)
-    diag = diagonal_or_none(unit.block)
-    commutators = ()
-    if not _by_rows(gauge, diag):
-        commutators = commutator_tuple(tau, sm)
-    elif s_rows is None:
-        s_rows = commutator_row_norms(commutator_tuple(tau, sm))
-    return _certificate(x_term, _shrunk_norms(gauge, unit, diag, s_rows, commutators, y_norms),
-                        _member_norms(tau, gauge, unit.block), y_norms, s_norm)
+    (shrunk,) = _shrunk_by_unit(gauge, tau, [unit], [diagonal_or_none(unit.block)], op, y_norms)
+    return _certificate(x_term, shrunk, _member_norms(tau, gauge, unit.block), y_norms,
+                        op.operator_norm)
 
 
 @dataclass(frozen=True)
@@ -246,14 +235,7 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     factors = [_trace_factors(tp, tau, steps) for tp in tps]
     wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
     diags = [diagonal_or_none(unit.block) for unit in steps]
-    # N x N commutators only for units off the row route (not a ramp, or not
-    # Schatten-2), one operator at a time, none where the carried norm is 0 (the identity)
-    by_matrix = any(wanted) and not all(_by_rows(gauge, d) for d in diags)
-    per_op = (commutator_tuple(tau, op.matrix) if by_matrix and op.commutator_norm else ()
-              for op in test_set)
-    shrunk = [[_shrunk_norms(gauge, unit, d, op.commutator_rows, ks, wanted)
-               for unit, d in zip(steps, diags)]
-              for op, ks in zip(test_set, per_op)]
+    shrunk = [_shrunk_by_unit(gauge, tau, steps, diags, op, wanted) for op in test_set]
 
     reports = []
     for i, (phi, (x1, y_norms, x_terms)) in enumerate(zip(phis, factors)):

@@ -19,7 +19,6 @@ from commlab import (
     TailStateSpec,
     TracePart,
     build_schedule,
-    commutator_row_norms,
     commutator_tuple,
     conjugate_gauge,
     coordinate_tail_states,
@@ -33,6 +32,7 @@ from commlab import (
     instantiate_model,
     k_estimate,
     ky_fan,
+    measure_test_operator,
     operator_norm,
     parse_config,
     projection_check,
@@ -231,12 +231,10 @@ def test_criterion_5_recovery_certificates(capsys, lap400):
                        gauge=G2)
         s = random_hermitian(rng, 400)
         target = eval_trace_part(tp, lap400, s)
-        s_norm = operator_norm(s)
-        s_rows = commutator_row_norms(commutator_tuple(lap400, s))
+        op = measure_test_operator("S", "random-hermitian", s, lap400, G2)
         for unit in schedule.steps:
             gap = abs(target - eval_trace_part(tp, lap400, unit.matrix @ s))
-            bound = recovery_error_bound(tp, lap400, G2, unit, s,
-                                         s_norm=s_norm, s_rows=s_rows)
+            bound = recovery_error_bound(tp, lap400, G2, unit, op)
             if gap > bound + 1e-9:
                 sound = False
         if gap > 1e-6:  # the last step's gap

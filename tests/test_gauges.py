@@ -25,7 +25,7 @@ from commlab import (
     singular_values,
     sup_gauge,
 )
-from commlab.gauges import norm_value_and_subgradient
+from commlab.gauges import diagonal_or_none, norm_value_and_subgradient
 
 
 # ---------------------------------------------------------------- oracles
@@ -595,3 +595,32 @@ def test_subgradient_rejects_non_finite_and_non_square(g, entry):
         norm_subgradient(g, np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         gauge_norm(g, np.ones((2, 3)))
+
+
+def _diagonal_cases():
+    ramp = np.diag(np.linspace(1.0, 0.0, 6))
+    cases = {"empty": np.zeros((0, 0)), "empty-complex": np.zeros((0, 0), dtype=complex),
+             "one": np.array([[2.0]]), "zero": np.zeros((4, 4)), "ramp": ramp,
+             "non-square": np.eye(2, 3), "tall": np.eye(3, 2), "integer": np.diag([1, 0, 3]),
+             "complex": np.diag([1j, 2.0, 0.0])}
+    for where in ("on", "off"):
+        i, j = (2, 2) if where == "on" else (1, 4)
+        for name, entry in {**NON_FINITE, "-0.0": -0.0, "tiny": 5e-324}.items():
+            m = ramp.astype(complex) if isinstance(entry, complex) else ramp.copy()
+            m[i, j] = entry
+            cases[f"{name}-{where}"] = m
+    return cases
+
+
+DIAGONAL_CASES = _diagonal_cases()
+
+
+@pytest.mark.parametrize("m", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
+def test_diagonal_or_none_answers_as_the_copying_comparison(m):
+    # the former expression, which built an r x r copy of the diagonal to compare with
+    diagonal = np.diagonal(m)
+    want = diagonal if np.array_equal(m, np.diag(diagonal)) else None
+    got = diagonal_or_none(m)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)

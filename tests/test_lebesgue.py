@@ -32,6 +32,7 @@ from commlab import (
     gauge_norm,
     generate_test_set,
     instantiate_model,
+    measure_test_operator,
     operator_norm,
     optimize_unit,
     projection_check,
@@ -41,7 +42,6 @@ from commlab import (
     recovery_error_bound,
     schatten,
     sup_gauge,
-    tuple_gauge_norm,
 )
 from commlab import functionals, idealops, lebesgue, sampling
 from commlab.gauges import _frobenius, diagonal_or_none
@@ -74,6 +74,11 @@ def random_trace_part(rng, support=4):
 def hermitian(rng, dim):
     m = random_block(rng, dim)
     return (m + m.conj().T) / 2
+
+
+def measured(tau, s, gauge=G2):
+    """S as it stands, as the TestOperator that recovery_error_bound reads."""
+    return measure_test_operator("S", "random-hermitian", s, tau, gauge)
 
 
 # --------------------------------------------------------------- recovery
@@ -178,7 +183,7 @@ def test_bound_reduces_without_commutator_slots():
     tp = TracePart(x=x, ys=(EMPTY, EMPTY), gauge=G2)
     unit = ramp_unit(tau, 6, 20)
     s = hermitian(rng, 48)
-    got = recovery_error_bound(tp, tau, G2, unit, s)
+    got = recovery_error_bound(tp, tau, G2, unit, measured(tau, s))
     xe = np.zeros((20, 20), dtype=np.complex128)
     xe[:5, :5] = x
     want = np.sum(np.linalg.svd(xe - xe @ unit.matrix[:20, :20],
@@ -194,7 +199,7 @@ def test_bound_vanishes_on_full_identity_unit():
     tp = TracePart(x=random_block(rng, 4),
                    ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
     s = hermitian(rng, 16)
-    assert recovery_error_bound(tp, tau, G2, unit, s) == 0.0
+    assert recovery_error_bound(tp, tau, G2, unit, measured(tau, s)) == 0.0
     assert eval_trace_part(tp, tau, unit.matrix @ s) == eval_trace_part(tp, tau, s)
 
 
@@ -209,7 +214,7 @@ def test_bound_dominates_measured_gap_on_seeded_instances():
         s = hermitian(rng, 48)
         gap = abs(eval_trace_part(tp, tau, s)
                   - eval_trace_part(tp, tau, unit.matrix @ s))
-        bound = recovery_error_bound(tp, tau, G2, unit, s)
+        bound = recovery_error_bound(tp, tau, G2, unit, measured(tau, s))
         assert gap <= bound + 1e-9
 
 
@@ -220,8 +225,8 @@ def test_bounds_nonincreasing_along_ramp_schedule():
     assert all(a >= b for a, b in zip(sched.commutator_norms,
                                       sched.commutator_norms[1:]))
     tp = random_trace_part(rng)
-    s = hermitian(rng, DIM)
-    bounds = [recovery_error_bound(tp, tau, G2, u, s) for u in sched.steps]
+    op = measured(tau, hermitian(rng, DIM))
+    bounds = [recovery_error_bound(tp, tau, G2, u, op) for u in sched.steps]
     for a, b in zip(bounds, bounds[1:]):
         assert b <= a + 1e-12
 
@@ -231,35 +236,15 @@ def test_bound_input_validation():
     tau = lap(32)
     unit = ramp_unit(tau, 4, 12)
     tp = random_trace_part(rng)
+    op = measured(tau, np.eye(32))
     with pytest.raises(ValueError):
-        recovery_error_bound(tp, tau, schatten(1), unit, np.eye(32))
-    with pytest.raises(ValueError):
-        recovery_error_bound(tp, tau, G2, unit, np.eye(8))
+        recovery_error_bound(tp, tau, schatten(1), unit, op)
+    # an operator measured on a tuple of another dimension
+    with pytest.raises(ValueError, match="dimension"):
+        recovery_error_bound(tp, tau, G2, unit, measured(lap(8), np.eye(8)))
     # a unit built on a tuple of another dimension
-    with pytest.raises(ValueError):
-        recovery_error_bound(tp, tau, G2, ramp_unit(lap(40), 4, 12), np.eye(32))
-
-
-@pytest.mark.parametrize("rows", [np.zeros((2, 31)), np.zeros((1, 32)), np.zeros(64)],
-                         ids=["short-rows", "one-member", "flat"])
-def test_bound_refuses_precomputed_rows_of_the_wrong_shape(rows):
-    rng = np.random.default_rng(69)
-    tau = lap(32)
-    with pytest.raises(ValueError, match="s_rows"):
-        recovery_error_bound(random_trace_part(rng), tau, G2, ramp_unit(tau, 4, 12),
-                             np.eye(32), s_rows=rows)
-
-
-@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf], ids=["negative", "nan", "inf"])
-def test_bound_refuses_precomputed_rows_with_a_bad_entry(bad):
-    rng = np.random.default_rng(69)
-    tau = lap(32)
-    s = hermitian(rng, 32)
-    rows = np.array(commutator_row_norms(commutator_tuple(tau, s)))
-    rows[1, 7] = bad
-    with pytest.raises(ValueError, match="s_rows"):
-        recovery_error_bound(random_trace_part(rng), tau, G2, ramp_unit(tau, 4, 12), s,
-                             s_rows=rows)
+    with pytest.raises(ValueError, match="dimension"):
+        recovery_error_bound(tp, tau, G2, ramp_unit(lap(40), 4, 12), op)
 
 
 @pytest.mark.parametrize("model", ["lap-pos", "shift-parts"])
@@ -313,9 +298,9 @@ def test_gauges_equal_by_value_so_a_relabelled_trace_part_is_bounded():
     tau = lap(32)
     unit = ramp_unit(tau, 4, 12)
     x, y0, y1 = (random_block(rng, 4) for _ in range(3))
-    s = hermitian(rng, 32)
-    got = recovery_error_bound(TracePart(x=x, ys=(y0, y1), gauge=labelled), tau, G2, unit, s)
-    assert got == recovery_error_bound(TracePart(x=x, ys=(y0, y1), gauge=G2), tau, G2, unit, s)
+    op = measured(tau, hermitian(rng, 32))
+    got = recovery_error_bound(TracePart(x=x, ys=(y0, y1), gauge=labelled), tau, G2, unit, op)
+    assert got == recovery_error_bound(TracePart(x=x, ys=(y0, y1), gauge=G2), tau, G2, unit, op)
 
 
 # ------------------------------------- corner terms against dense products
@@ -364,10 +349,11 @@ def dense_bound(tp, tau, gauge, unit, s):
 def test_bound_matches_dense_terms(corner_case, gauge):
     tau, schedules, operands, (x, y1, y2) = corner_case
     tp = TracePart(x=x, ys=(y1, y2), gauge=gauge)
+    ops = [measured(tau, s, gauge) for s in operands]
     for sched in schedules:
         for unit in sched.steps:
-            for s in operands:
-                got = recovery_error_bound(tp, tau, gauge, unit, s)
+            for s, op in zip(operands, ops):
+                got = recovery_error_bound(tp, tau, gauge, unit, op)
                 assert got == pytest.approx(dense_bound(tp, tau, gauge, unit, s), rel=1e-12)
 
 
@@ -433,17 +419,12 @@ def test_decompose_bounds_are_bitwise_those_of_recovery_error_bound(corner_case,
                  build_schedule(tau, gauge, CORNER_WINDOWS, mode="optimized-then-monotonized",
                                 max_iterations=40)]
     tp = TracePart(x=x, ys=(y1, y2), gauge=gauge)
-    matrices = operands + [np.eye(CORNER_DIM)]
-    ops = tuple(sampling.TestOperator(
-                    op_id=f"S-{i}", matrix=s, kind="banded", operator_norm=operator_norm(s),
-                    commutator_norm=tuple_gauge_norm(commutator_tuple(tau, s), gauge),
-                    commutator_rows=commutator_row_norms(commutator_tuple(tau, s)),
-                    gauge=gauge)
-                for i, s in enumerate(matrices))
+    ops = tuple(measure_test_operator(f"S-{i}", "banded", s, tau, gauge)
+                for i, s in enumerate(operands + [np.eye(CORNER_DIM)]))
     for sched in schedules:
         (report,) = decompose([FunctionalSpec(trace_part=tp)], sched, tau, gauge, ops)
-        for rec, s in zip(report.per_s, matrices, strict=True):
-            assert rec.bounds == tuple(recovery_error_bound(tp, tau, gauge, unit, s)
+        for rec, op in zip(report.per_s, ops, strict=True):
+            assert rec.bounds == tuple(recovery_error_bound(tp, tau, gauge, unit, op)
                                        for unit in sched.steps)
 
 
@@ -616,6 +597,28 @@ def test_test_set_carried_norms_match_a_recompute(model, dim):
                                                     rel=1e-12, abs=0.0)
         assert s_norm + c_norm == pytest.approx(e_norm_sum(tau, G2, op.matrix),
                                                 rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["lap-pos", "shift-parts"])
+def test_test_set_draws_are_measured_draws_scaled_to_norm_one(model):
+    # the raw draws come from the same generator, in the same order
+    tau = instantiate_model(OperatorModelSpec(name=model), DIM)
+    spec = SampleSpec(seed=84, count=6, kinds=sampling.KINDS, support=5, bandwidth=2)
+    ops = generate_test_set(spec, tau, G2)
+    rng = np.random.default_rng(spec.seed)
+    for i, got in enumerate(ops[1:]):
+        kind = spec.kinds[i % len(spec.kinds)]
+        raw = sampling._sample_matrix(rng, kind, DIM, spec.support, spec.bandwidth)
+        want = measure_test_operator(f"{kind}-{i}", kind, raw, tau, G2)
+        assert raw.flags.writeable and not want.matrix.flags.writeable  # a read-only view
+        norm = max(want.operator_norm, want.commutator_norm)
+        assert norm > 1e-14
+        assert (got.op_id, got.kind, got.gauge) == (want.op_id, kind, G2)
+        assert np.array_equal(got.matrix, want.matrix / norm)
+        assert np.array_equal(got.commutator_rows, want.commutator_rows / norm)
+        assert got.operator_norm == want.operator_norm / norm
+        assert got.commutator_norm == want.commutator_norm / norm
+        assert not (got.matrix.flags.writeable or got.commutator_rows.flags.writeable)
 
 
 def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
@@ -791,7 +794,8 @@ def test_decompose_refuses_a_test_set_normed_in_another_gauge():
 
 GAUGE_RULE_CASES = [(entry, carrier) for entry in ("decompose", "projection_check")
                     for carrier in ("trace part", "test set", "schedule")] + [
-    ("recovery_error_bound", "trace part"), ("functional_norm_bounds", "trace part"),
+    ("recovery_error_bound", "trace part"), ("recovery_error_bound", "test set"),
+    ("functional_norm_bounds", "trace part"),
     ("functional_norm_bounds", "test set"), ("quotient_norm_bounds", "trace part"),
     ("quotient_norm_bounds", "test set")]
 
@@ -814,7 +818,7 @@ def test_entry_points_refuse_an_input_in_another_gauge(entry, carrier):
         "decompose": lambda: decompose([phi], sched, tau, G2, ops),
         "projection_check": lambda: projection_check([phi, phi], sched, tau, G2, ops),
         "recovery_error_bound": lambda: recovery_error_bound(tp, tau, G2, sched.steps[0],
-                                                             ops[1].matrix),
+                                                             ops[1]),
         "functional_norm_bounds": lambda: functional_norm_bounds(phi, tau, G2, ops),
         "quotient_norm_bounds": lambda: quotient_norm_bounds(tp, tau, G2, window=4, test_set=ops),
     }
