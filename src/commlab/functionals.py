@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import math
 import numpy as np
 
-from .gauges import (GaugeSpec, _check_gauge, conjugate_gauge, gauge_norm,
+from .gauges import (GaugeSpec, _check_gauge, _check_tuple, conjugate_gauge, gauge_norm,
                      norm_value_and_subgradient, schatten)
 from .idealops import HermitianTuple, band_commutator, embed
 from .qau import _check_iterations, _descend
@@ -244,44 +244,19 @@ class FunctionalSpec:
             raise ValueError("a functional needs at least one part")
 
 
-@dataclass(frozen=True)
-class FunctionalCombo:
-    """Formal linear combination of functionals, evaluated part-wise."""
+def eval_functional(phi: FunctionalSpec, tau: HermitianTuple, s) -> complex:
+    """phi(S), its trace part's value plus its singular part's; NotConverged propagates.
 
-    terms: tuple[tuple[complex, FunctionalSpec], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms",
-            tuple((complex(c), phi) for c, phi in self.terms))
-
-
-def combine(*terms) -> FunctionalCombo:
-    """combine((c1, phi1), (c2, phi2), ...) -> formal sum of functionals."""
-    flat = []
-    for coeff, phi in terms:
-        if isinstance(phi, FunctionalCombo):
-            flat.extend((complex(coeff) * c, inner) for c, inner in phi.terms)
-        else:
-            flat.append((complex(coeff), phi))
-    return FunctionalCombo(terms=tuple(flat))
-
-
-def eval_functional(phi, tau: HermitianTuple, s) -> complex:
-    """Evaluate a FunctionalSpec or FunctionalCombo; NotConverged propagates.
-
-    A singular part is evaluated along all of its windows.
+    A singular part is evaluated along all of its windows.  The value is linear
+    in phi: a combination of functionals takes the same combination of values.
     """
     return _eval_split(phi, tau, s)[0]
 
 
-def _eval_split(phi, tau: HermitianTuple, s,
+def _eval_split(phi: FunctionalSpec, tau: HermitianTuple, s,
                 strict: bool = True) -> tuple[complex | None, complex]:
     """(phi(S), the value of phi's trace part at S), each part evaluated once.  A singular
-    part's NotConverged propagates, or, for a FunctionalSpec not `strict`, makes phi(S) None."""
-    if isinstance(phi, FunctionalCombo):
-        pairs = [(c, *_eval_split(f, tau, s)) for c, f in phi.terms]
-        return tuple(sum((c * p[i] for c, *p in pairs), start=0.0 + 0.0j) for i in (0, 1))
+    part's NotConverged propagates, or, when not `strict`, makes phi(S) None."""
     trace = 0j if phi.trace_part is None else eval_trace_part(phi.trace_part, tau, s)
     try:
         tail = 0j if phi.singular_part is None else eval_singular_part(phi.singular_part, s)
@@ -292,21 +267,18 @@ def _eval_split(phi, tau: HermitianTuple, s,
     return 0.0 + 0.0j + trace + tail, trace
 
 
-def rows_read(phi, tau: HermitianTuple) -> np.ndarray:
+def rows_read(phi: FunctionalSpec, tau: HermitianTuple) -> np.ndarray:
     """Sorted indices of the rows of S that `eval_functional(phi, tau, S)` reads.
 
     A trace part reads its `reach` leading rows (X, and the commutator
-    corners of the Y_j); a tail state reads its window rows.
+    corners of the Y_j), a tail state its window rows, and phi the union
+    of what its parts read.
     """
-    specs = [f for _, f in phi.terms] if isinstance(phi, FunctionalCombo) else [phi]
-    rows = []
-    for spec in specs:
-        tp, ts = spec.trace_part, spec.singular_part
-        if tp is not None:
-            rows.append(np.arange(min(tp.reach(tau.bandwidth), tau.dimension)))
-        if ts is not None:
-            rows.extend(np.arange(lo - 1, hi) for lo, hi in ts.windows)
-    return np.unique(np.concatenate(rows)) if rows else np.zeros(0, dtype=int)
+    tp, ts = phi.trace_part, phi.singular_part
+    rows = [] if tp is None else [np.arange(min(tp.reach(tau.bandwidth), tau.dimension))]
+    if ts is not None:
+        rows.extend(np.arange(lo - 1, hi) for lo, hi in ts.windows)
+    return np.unique(np.concatenate(rows))
 
 
 def trace_part_norms(tp: TracePart) -> tuple[float, tuple[float, ...]]:
@@ -364,6 +336,7 @@ def functional_norm_bounds(phi: FunctionalSpec, tau: HermitianTuple, gauge: Gaug
     """The norm bracket of phi, sampled on a test set drawn for tau in this gauge."""
     tp = phi.trace_part or TracePart.zero(tau.n, gauge)
     _check_gauge(gauge, trace_part=[tp], test_set=test_set)
+    _check_tuple(tau, test_set=test_set)
     x1, y_norms = trace_part_norms(tp)
     values = [_eval_split(phi, tau, op.matrix, strict=False)[0] for op in test_set]
     return _norm_bracket(phi, x1, y_norms, values, test_set)
@@ -413,12 +386,13 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     subgradient.
 
     Lower: the largest normalized pairing against the test set: a drawn
-    `test_set` in `gauge`, or the one `generate_test_set` draws from
+    `test_set` in `gauge` on tau, or the one `generate_test_set` draws from
     `sample_spec`.  Exactly one of the two is given.
     """
     if (sample_spec is None) == (test_set is None):
         raise ValueError("quotient_norm_bounds takes exactly one of sample_spec and test_set")
     _check_gauge(gauge, trace_part=[tp], test_set=test_set or ())
+    _check_tuple(tau, test_set=test_set or ())
     if window < 1:
         raise ValueError(f"window {window} is empty")
     band = tau.bandwidth

@@ -74,6 +74,15 @@ def _check_gauge(gauge: GaugeSpec, **inputs) -> None:
             raise ValueError(f"{name.replace('_', ' ')} is in another gauge than {gauge.label}")
 
 
+def _check_tuple(tau, **inputs) -> None:
+    """Refuse each named input (test operators, schedules) measured on a tuple other
+    than tau: not tau itself and not of equal diagonals."""
+    for name, carriers in inputs.items():
+        if any(c.tau is not tau and not np.array_equal(c.tau.diagonals, tau.diagonals)
+               for c in carriers):
+            raise ValueError(f"{name.replace('_', ' ')} was measured on another tuple")
+
+
 def schatten(p: float) -> GaugeSpec:
     return GaugeSpec(family=SCHATTEN, p=float(p))
 

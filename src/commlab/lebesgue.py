@@ -20,12 +20,11 @@ from .functionals import (
     _check_margin,
     _eval_split,
     _norm_bracket,
-    combine,
     detect_limit,
     rows_read,
     trace_part_norms,
 )
-from .gauges import (GaugeSpec, _check_gauge, _frobenius, _sorted_gauge_value,
+from .gauges import (GaugeSpec, _check_gauge, _check_tuple, _frobenius, _sorted_gauge_value,
                      diagonal_or_none, gauge_norm, schatten)
 from .idealops import HermitianTuple, commutator_tuple, embed
 from .qau import UnitElement, UnitSchedule, _member_norms
@@ -53,24 +52,24 @@ def recover_ac_part(phi, schedule: UnitSchedule, tau: HermitianTuple, s) -> Reco
     A_k S vanishes outside its leading cap_r rows, and of those only the rows
     phi reads (`rows_read`) are formed.  Detection takes `detect_limit`'s
     defaults, shared with tail states.  To recover along fewer steps, pass a
-    schedule built on fewer windows.
+    schedule built on fewer windows.  The schedule must be built on tau.
 
     Raises NotConverged carrying the recovery values: all of them when no
     limit settles, those before the step when phi fails to converge there.
     """
+    _check_tuple(tau, schedule=[schedule])
     return _recover(phi, schedule, tau, s)[0]
 
 
 def _recover(phi, schedule: UnitSchedule, tau: HermitianTuple, s):
-    """`recover_ac_part`, and the values of phi's trace part at the same A_k S."""
+    """`recover_ac_part` on a schedule built on tau, and the values of phi's trace
+    part at the same A_k S."""
     sm = np.asarray(s)
     if sm.shape != (tau.dimension, tau.dimension):
         raise ValueError("operand dimension does not match the tuple")
     read = rows_read(phi, tau)
     values, traces = [], []
     for k, unit in enumerate(schedule.steps, start=1):
-        if unit.dimension != tau.dimension:
-            raise ValueError("schedule dimension does not match the tuple")
         rows = read[read < unit.cap_r]
         product = np.zeros(sm.shape, dtype=np.result_type(unit.block, sm))
         product[rows] = unit.block[rows] @ sm[:unit.cap_r]
@@ -171,7 +170,7 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
       + sum_j |[A, T_j]|_gauge * |Y_j|_dual * ||S||
 
     ||S|| and the row norms of [T_j, S] are those op carries, which must be
-    in this gauge (`measure_test_operator` takes them).  At Schatten-2 a
+    in this gauge and on tau (`measure_test_operator` takes them).  At Schatten-2 a
     diagonal unit (a ramp) takes the middle term from the row norms alone;
     any other unit or gauge forms the tuple [T_j, S].  `decompose` sums the
     same factors, each taken once at the level it depends on.
@@ -180,6 +179,7 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     _, y_norms, (x_term,) = _trace_factors(tp, tau, [unit])
     if op.matrix.shape != (tau.dimension,) * 2 or unit.dimension != tau.dimension:
         raise ValueError("operand or unit dimension does not match the tuple")
+    _check_tuple(tau, test_set=[op])
     (shrunk,) = _shrunk_by_unit(gauge, tau, [unit], [diagonal_or_none(unit.block)], op, y_norms)
     return _certificate(x_term, shrunk, _member_norms(tau, gauge, unit.block), y_norms,
                         op.operator_norm)
@@ -224,13 +224,14 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     per operator in test-set order, the additivity one last.  Each bound
     factor is formed once, at the level it depends on: per unit, per
     operator or per functional.  The norms of the units and of S are those the
-    schedule and the TestOperators carry, which must be in this gauge; at
+    schedule and the TestOperators carry, which must be in this gauge and on tau; at
     Schatten-2 a ramp's |(I - A_k)[T_j, S]| comes from the carried row norms,
     so a ramp schedule forms no N x N commutator.
     """
     phis = tuple(phis)
     tps = [phi.trace_part or TracePart.zero(tau.n, gauge) for phi in phis]
     _check_gauge(gauge, trace_part=tps, schedule=[schedule], test_set=test_set)
+    _check_tuple(tau, schedule=[schedule], test_set=test_set)
     steps, member_norms = schedule.steps, schedule.member_norms
     factors = [_trace_factors(tp, tau, steps) for tp in tps]
     wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
@@ -307,29 +308,26 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
                      gauge: GaugeSpec, test_set: tuple[TestOperator, ...]) -> ProjectionReport:
     """Check idempotence, linearity and the norm sandwich of the recovery map.
 
-    One `decompose` call covers every FunctionalSpec: each report gives the
-    first-pass limits, the idempotence gap, and the additivity gap, how far
-    the sampled norm lower bound exceeds the split upper bound.  Consecutive
-    pairs are combined as 2 phi_i - phi_{i+1}, and the combination's recovery
-    is compared with the same combination of first-pass limits.  Raises
-    NotConverged when a first-pass recovery does not settle; these checks
-    assume convergence.
+    One `decompose` call covers every FunctionalSpec, and the checks read its
+    reports: the idempotence gap; the additivity gap, how far the sampled norm
+    lower bound exceeds the split upper bound; and for consecutive pairs the
+    linearity gap, between the limit detected on the sequence 2 a_k - b_k of
+    the pair's recovery values and 2 lim a - lim b.  Evaluation is linear in
+    the functional, so that sequence is the recovery of 2 phi_i - phi_{i+1}.
+    Raises NotConverged when a recovery, or a pair's combination, does not
+    settle; these checks assume convergence.
     """
-    phis = list(phis)
     reports = decompose(phis, schedule, tau, gauge, test_set)
     for rec in (rec for report in reports for rec in report.per_s):
         if rec.limit is None:
             raise NotConverged(f"{rec.s_id}: recovery did not converge", rec.sequence)
-    first = [{rec.s_id: rec.limit for rec in report.per_s} for report in reports]
 
     lin = []
-    for i in range(0, len(phis) - 1, 2):
-        combo = combine((2.0, phis[i]), (-1.0, phis[i + 1]))
+    for first, second in zip(reports[0::2], reports[1::2]):
         gap = 0.0
-        for op in test_set:
-            mixed = recover_ac_part(combo, schedule, tau, op.matrix).limit
-            split = 2.0 * first[i][op.op_id] - first[i + 1][op.op_id]
-            gap = max(gap, abs(mixed - split))
+        for a, b in zip(first.per_s, second.per_s):
+            mixed = detect_limit([2.0 * u - v for u, v in zip(a.sequence, b.sequence)])
+            gap = max(gap, abs(mixed - (2.0 * a.limit - b.limit)))
         lin.append(float(gap))
 
     return ProjectionReport(

@@ -359,12 +359,13 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
 
 @dataclass(frozen=True)
 class UnitSchedule:
-    """Monotone units built in `mode`; `member_norms[k][j]` is |[T_j, A_k]| in `gauge`."""
+    """Monotone units built in `mode` on `tau`; `member_norms[k][j]` is |[T_j, A_k]| in `gauge`."""
 
     steps: tuple[UnitElement, ...]
     member_norms: tuple[tuple[float, ...], ...]
     mode: str
     gauge: GaugeSpec
+    tau: HermitianTuple
 
     @property
     def commutator_norms(self) -> tuple[float, ...]:
@@ -441,4 +442,5 @@ def build_schedule(tau: HermitianTuple, gauge: GaugeSpec, windows,
 
     _check_monotone_steps(steps)
     norms = tuple(_member_norms(tau, gauge, u.block) for u in steps)
-    return UnitSchedule(steps=tuple(steps), member_norms=norms, mode=mode, gauge=gauge)
+    return UnitSchedule(steps=tuple(steps), member_norms=norms, mode=mode, gauge=gauge,
+                        tau=tau)

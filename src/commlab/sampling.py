@@ -34,7 +34,8 @@ class TestOperator:
     """A test operator with both halves of its norm, taken once by `measure_test_operator`.
 
     `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge in the
-    `gauge` it was measured in; their max is the max-form norm.
+    `gauge` it was measured in, against the tuple `tau`; their max is the
+    max-form norm.
     `commutator_rows` is the read-only (n, N) array of the row norms of the
     [T_j, S] (`commutator_row_norms`), from which the recovery bounds take
     |(I - A)[T_j, S]|_2 for a diagonal unit A without forming [T_j, S] again.
@@ -47,6 +48,7 @@ class TestOperator:
     commutator_norm: float
     commutator_rows: np.ndarray
     gauge: GaugeSpec
+    tau: HermitianTuple
 
     @property
     def finitely_supported(self) -> bool:
@@ -88,7 +90,7 @@ def measure_test_operator(op_id: str, kind: str, matrix, tau: HermitianTuple,
         a.setflags(write=False)
     return TestOperator(op_id=op_id, matrix=m, kind=kind, operator_norm=s_norm,
                         commutator_norm=tuple_gauge_norm(ks, gauge), commutator_rows=rows,
-                        gauge=gauge)
+                        gauge=gauge, tau=tau)
 
 
 def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
@@ -107,7 +109,7 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
     for a in (eye, zeros):
         a.setflags(write=False)
     ops = [TestOperator(op_id="identity", matrix=eye, kind="identity", operator_norm=1.0,
-                        commutator_norm=0.0, commutator_rows=zeros, gauge=gauge)]
+                        commutator_norm=0.0, commutator_rows=zeros, gauge=gauge, tau=tau)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         op = measure_test_operator(f"{kind}-{i}", kind, _sample_matrix(

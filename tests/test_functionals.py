@@ -12,7 +12,6 @@ from commlab import (
     SampleSpec,
     TailStateSpec,
     TracePart,
-    combine,
     conjugate_gauge,
     coordinate_tail_states,
     detect_limit,
@@ -256,24 +255,6 @@ def test_singular_only_functional_kills_finite_support():
     phi = FunctionalSpec(singular_part=coordinate_tail_states(range(30, 40)))
     s = embed(np.eye(8), 48)
     assert eval_functional(phi, tau, s) == 0.0
-
-
-def test_combination_is_linear():
-    rng = np.random.default_rng(48)
-    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 64)
-    phis = []
-    for _ in range(2):
-        tp = TracePart(x=random_block(rng, 4),
-                       ys=(random_block(rng, 4), random_block(rng, 4)), gauge=G2)
-        phis.append(FunctionalSpec(
-            trace_part=tp, singular_part=coordinate_tail_states(range(40, 50))))
-    s = (lambda m: (m + m.conj().T) / 2)(random_block(rng, 64))
-    s[40:, 40:] = np.eye(24) * 0.7  # constant on the tail so limits exist
-    alpha, beta = 2.0, -0.5
-    direct = (alpha * eval_functional(phis[0], tau, s)
-              + beta * eval_functional(phis[1], tau, s))
-    got = eval_functional(combine((alpha, phis[0]), (beta, phis[1])), tau, s)
-    assert abs(got - direct) < 1e-10
 
 
 # ------------------------------------------------------------ norm bounds

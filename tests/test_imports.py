@@ -1,12 +1,14 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package, and every test file, reads each name it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "commlab"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "commlab"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,9 +29,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []
 
 
 def test_unused_import_check_finds_a_name_left_behind():

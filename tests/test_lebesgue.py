@@ -17,12 +17,12 @@ from commlab import (
     SampleSpec,
     TracePart,
     build_schedule,
-    combine,
     commutator_row_norms,
     commutator_tuple,
     conjugate_gauge,
     coordinate_tail_states,
     decompose,
+    detect_limit,
     e_norm_max,
     e_norm_sum,
     eval_functional,
@@ -393,12 +393,11 @@ def inside_case(corner_case):
     tail = FunctionalSpec(singular_part=coordinate_tail_states(INSIDE_TAIL))
     phis = {"trace": trace, "tail": tail,
             "trace-and-tail": FunctionalSpec(trace_part=trace.trace_part,
-                                             singular_part=tail.singular_part),
-            "combo": combine((2.0, trace), (0.5 - 1j, tail))}
+                                             singular_part=tail.singular_part)}
     return tau, schedules, flat, phis
 
 
-@pytest.mark.parametrize("name", ["trace", "tail", "trace-and-tail", "combo"])
+@pytest.mark.parametrize("name", ["trace", "tail", "trace-and-tail"])
 def test_row_only_recovery_matches_dense_products(inside_case, name):
     tau, schedules, operands, phis = inside_case
     phi = phis[name]
@@ -826,6 +825,52 @@ def test_entry_points_refuse_an_input_in_another_gauge(entry, carrier):
         calls[entry]()
 
 
+TUPLE_RULE_CASES = [(entry, carrier) for entry in ("decompose", "projection_check")
+                    for carrier in ("test set", "schedule")] + [
+    ("recover_ac_part", "schedule"), ("recovery_error_bound", "test set"),
+    ("functional_norm_bounds", "test set"), ("quotient_norm_bounds", "test set")]
+
+
+@pytest.mark.parametrize("entry, carrier", TUPLE_RULE_CASES,
+                         ids=[f"{e}-{c.replace(' ', '-')}" for e, c in TUPLE_RULE_CASES])
+def test_entry_points_refuse_an_input_measured_on_another_tuple(entry, carrier):
+    # the computation runs on lap-pos; only the named input is measured on a
+    # diagonal grid of three members at the same dimension
+    tau, rng = lap(), np.random.default_rng(93)
+
+    def tuple_of(name):
+        return instantiate_model(OperatorModelSpec(name="diagonal-grid", n=3), DIM) \
+            if name == carrier else tau
+
+    tp = TracePart(x=random_block(rng, 3), ys=(random_block(rng, 3), EMPTY), gauge=G2)
+    phi = FunctionalSpec(trace_part=tp)
+    sched = build_schedule(tuple_of("schedule"), G2, WINDOWS)
+    ops = sample_ops(tuple_of("test set"), seed=94, count=2)
+    calls = {
+        "decompose": lambda: decompose([phi], sched, tau, G2, ops),
+        "projection_check": lambda: projection_check([phi, phi], sched, tau, G2, ops),
+        "recover_ac_part": lambda: recover_ac_part(phi, sched, tau, np.eye(DIM)),
+        "recovery_error_bound": lambda: recovery_error_bound(tp, tau, G2, sched.steps[0],
+                                                             ops[1]),
+        "functional_norm_bounds": lambda: functional_norm_bounds(phi, tau, G2, ops),
+        "quotient_norm_bounds": lambda: quotient_norm_bounds(tp, tau, G2, window=4, test_set=ops),
+    }
+    with pytest.raises(ValueError, match=f"{carrier} was measured on another tuple"):
+        calls[entry]()
+
+
+def test_inputs_measured_on_an_equal_tuple_built_again_are_accepted():
+    # equal diagonals, another object: the check compares the storage, not identity
+    rng = np.random.default_rng(95)
+    phi = FunctionalSpec(trace_part=random_trace_part(rng))
+    tau, again = lap(), lap()
+    assert again is not tau
+    same = decompose([phi], build_schedule(tau, G2, WINDOWS), tau, G2, sample_ops(tau, seed=96))
+    other = decompose([phi], build_schedule(again, G2, WINDOWS), tau, G2,
+                      sample_ops(again, seed=96))
+    assert other == same
+
+
 # ------------------------------------------------------------- projection
 
 
@@ -878,3 +923,29 @@ def test_projection_linearity_on_random_pair():
     assert report.linearity_gaps[0] <= 1e-8
     assert all(g <= 1e-9 for g in report.idempotence_gaps)
     assert all(g == 0.0 for g in report.additivity_gaps)
+
+
+def test_projection_check_reads_linearity_off_one_decompose_pass(monkeypatch):
+    rng = np.random.default_rng(85)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phis = [FunctionalSpec(trace_part=random_trace_part(rng),
+                           singular_part=coordinate_tail_states(TAIL_RANGE) if i % 2 else None)
+            for i in range(5)]
+    ops = sample_ops(tau, seed=86, count=3)
+    reports = decompose(phis, sched, tau, G2, ops)
+    want = tuple(max(abs(detect_limit([2.0 * u - v for u, v in zip(a.sequence, b.sequence)])
+                         - (2.0 * a.limit - b.limit))
+                     for a, b in zip(first.per_s, second.per_s, strict=True))
+                 for first, second in zip(reports[0::2], reports[1::2]))
+    recover, calls = lebesgue._recover, []
+
+    def counted(*args):
+        calls.append(None)
+        return recover(*args)
+
+    monkeypatch.setattr(lebesgue, "_recover", counted)
+    report = projection_check(phis, sched, tau, G2, ops)
+    assert len(report.linearity_gaps) == 2
+    assert report.linearity_gaps == want
+    assert len(calls) == len(phis) * len(ops)
