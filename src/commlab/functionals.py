@@ -16,6 +16,7 @@ a commutator sum, with the quotient norm bracketed from both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 import numpy as np
 
@@ -356,6 +357,12 @@ PredualElement = TracePart
 pairing = eval_trace_part
 
 
+@functools.lru_cache(maxsize=1)
+def _drawn(spec: SampleSpec, tau: HermitianTuple, gauge: GaugeSpec) -> tuple[TestOperator, ...]:
+    """The last test set `quotient_norm_bounds` drew, keyed on tau's identity."""
+    return generate_test_set(spec, tau, gauge)
+
+
 @dataclass(frozen=True)
 class QuotientBounds:
     """The bracket on a quotient norm, and how the upper bound's descent ended.
@@ -387,7 +394,10 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
 
     Lower: the largest normalized pairing against the test set: a drawn
     `test_set` in `gauge` on tau, or the one `generate_test_set` draws from
-    `sample_spec`.  Exactly one of the two is given.
+    `sample_spec`.  Exactly one of the two is given.  A `sample_spec` set
+    is drawn once for a run of calls on one (spec, tau, gauge): a memo of
+    one entry keeps the last set drawn, with its tuple, and a call on
+    another tuple object, spec or gauge draws afresh and replaces it.
     """
     if (sample_spec is None) == (test_set is None):
         raise ValueError("quotient_norm_bounds takes exactly one of sample_spec and test_set")
@@ -420,7 +430,7 @@ def quotient_norm_bounds(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
     _, upper, stop_reason, trace = _descend(v, value, g, evaluate, lambda w: w,
                                             max_iterations)
 
-    ops = test_set if sample_spec is None else generate_test_set(sample_spec, tau, gauge)
+    ops = test_set if sample_spec is None else _drawn(sample_spec, tau, gauge)
     lower, _ = sampled_lower([eval_trace_part(tp, tau, op.matrix) for op in ops], ops)
     return QuotientBounds(lower=float(lower), upper=float(upper),
                           iterations=len(trace) - 1, stop_reason=stop_reason)

@@ -357,7 +357,7 @@ def k_estimate(tau: HermitianTuple, gauge: GaugeSpec, floors, caps,
     return KEstimateTable(floors=floors, caps=caps, cells=cells, estimate=float(estimate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitSchedule:
     """Monotone units built in `mode` on `tau`; `member_norms[k][j]` is |[T_j, A_k]| in `gauge`."""
 

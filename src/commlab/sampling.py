@@ -22,6 +22,11 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be nonnegative")
+        if self.support < 1:
+            raise ValueError("support must be a positive integer")
+        if self.bandwidth < 0:
+            raise ValueError("bandwidth must be nonnegative")
+        object.__setattr__(self, "kinds", tuple(self.kinds))  # hashable, whatever was given
         for kind in self.kinds:
             if kind not in KINDS:
                 raise ValueError(f"unknown test operator kind {kind!r}")
@@ -29,7 +34,7 @@ class SampleSpec:
             raise ValueError("kinds must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestOperator:
     """A test operator with both halves of its norm, taken once by `measure_test_operator`.
 

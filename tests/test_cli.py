@@ -580,6 +580,49 @@ def _numeric_leaves(node, path=()):
     return [leaf for k, v in items for leaf in _numeric_leaves(v, path + (k,))]
 
 
+def _assert_floats_agree(a, b, rel, path="$"):
+    """The same JSON shape and leaves, floats equal within `rel` relative."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), path
+        for key in a:
+            _assert_floats_agree(a[key], b[key], rel, f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (u, v) in enumerate(zip(a, b)):
+            _assert_floats_agree(u, v, rel, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)), (path, a, b)
+    else:
+        assert a == b, path
+
+
+def test_artifacts_agree_across_blas_thread_counts(tmp_path):
+    # the README's contract: bytes only at one thread count; across counts every
+    # JSON float agrees within 1e-12 relative
+    cfg = write_config(tmp_path, SMALL)
+    stages = ("k-estimate", "schedule", "decompose")
+    script = ("import sys\n"
+              "from commlab.cli import main\n"
+              "for stage in sys.argv[2:]:\n"
+              "    assert main([stage, '--config', sys.argv[1], '--out', stage]) == 0\n")
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(commlab.__file__).parents[1])}
+        (tmp_path / threads).mkdir()
+        done = subprocess.run([sys.executable, "-c", script, cfg, *stages], env=env,
+                              cwd=tmp_path / threads, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+    for stage in stages:
+        ones = sorted((tmp_path / "1" / stage).glob("*.json"))
+        assert ones, stage
+        for one in ones:
+            two = tmp_path / "2" / stage / one.name
+            _assert_floats_agree(json.loads(one.read_text(encoding="utf-8")),
+                                 json.loads(two.read_text(encoding="utf-8")), 1e-12)
+
+
 _LEAVES = _numeric_leaves(SMALL)
 _WINDOWS = sorted({leaf[:-1] for leaf in _LEAVES
                    if len(leaf) > 2 and leaf[-3] in ("schedule", "windows")

@@ -28,6 +28,7 @@ from commlab import (
     reduce_to_trace,
     schatten,
 )
+from commlab import functionals
 from commlab.idealops import band_commutator
 from commlab.qau import PATIENCE, STOP_TOLERANCE, SUFFICIENT
 
@@ -322,6 +323,30 @@ def test_norm_bounds_refuse_a_test_set_normed_in_another_gauge():
         functional_norm_bounds(phi, tau, schatten(1), ops)
 
 
+SAMPLE_SPEC_REFUSALS = [({"count": -1}, "count must be nonnegative"),
+                        ({"support": 0}, "support must be a positive integer"),
+                        ({"support": -3}, "support must be a positive integer"),
+                        ({"bandwidth": -1}, "bandwidth must be nonnegative"),
+                        ({"kinds": ("gaussian",)}, "unknown test operator kind"),
+                        ({"kinds": ()}, "kinds must be nonempty")]
+
+
+@pytest.mark.parametrize("fields, message", SAMPLE_SPEC_REFUSALS,
+                         ids=[f"{k}={v}" for f, _ in SAMPLE_SPEC_REFUSALS for k, v in f.items()])
+def test_sample_spec_refuses_what_the_config_refuses(fields, message):
+    # support 0 or bandwidth -1 drew all-zero operators before
+    with pytest.raises(ValueError, match=message):
+        SampleSpec(seed=1, **fields)
+
+
+def test_sample_spec_keeps_its_kinds_as_a_tuple():
+    kinds = ["banded", "finitely-supported"]
+    spec = SampleSpec(seed=1, kinds=kinds)
+    assert spec.kinds == tuple(kinds)
+    assert spec == SampleSpec(seed=1, kinds=tuple(kinds))
+    assert hash(spec) == hash(SampleSpec(seed=1, kinds=tuple(kinds)))
+
+
 # --------------------------------------------------------------- quotient
 
 
@@ -515,6 +540,37 @@ def test_quotient_drawn_test_set_gives_the_bracket_of_its_spec(gauge):
                                     max_iterations=20)
         got = quotient_norm_bounds(pe, tau, gauge, window=10, test_set=ops, max_iterations=20)
         assert got == want
+
+
+def test_quotient_draws_a_sample_spec_once_per_spec_tuple_and_gauge(monkeypatch):
+    # a run of calls on one (spec, tau, gauge) draws once; another tuple object,
+    # spec or gauge draws again, and every bracket is that of a fresh draw.
+    # The memo keys tau by identity, so these new tuples find no set drawn before.
+    rng = np.random.default_rng(57)
+    spec, other_spec = SampleSpec(seed=15, count=4), SampleSpec(seed=16, count=4)
+    tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
+    again = instantiate_model(OperatorModelSpec(name="lap-pos"), 40)
+    draws = []
+    draw = functionals.generate_test_set
+    monkeypatch.setattr(functionals, "generate_test_set",
+                        lambda *args: draws.append(args) or draw(*args))
+
+    def bracket(pe, spec, tau, gauge):
+        got = quotient_norm_bounds(pe, tau, gauge, window=10, sample_spec=spec,
+                                   max_iterations=5)
+        want = quotient_norm_bounds(pe, tau, gauge, window=10, max_iterations=5,
+                                    test_set=draw(spec, tau, gauge))
+        assert got == want
+        return len(draws)
+
+    elements = {gauge: [TracePart(x=random_block(rng, 4), ys=(random_block(rng, 4),
+                                                              random_block(rng, 4)), gauge=gauge)
+                        for _ in range(3)] for gauge in (G2, schatten(1))}
+    assert [bracket(pe, spec, tau, G2) for pe in elements[G2]] == [1, 1, 1]
+    assert bracket(elements[G2][0], spec, again, G2) == 2
+    assert bracket(elements[G2][0], other_spec, again, G2) == 3
+    assert bracket(elements[schatten(1)][0], other_spec, again, schatten(1)) == 4
+    assert bracket(elements[G2][1], spec, tau, G2) == 5  # the memo keeps one set
 
 
 def test_quotient_takes_exactly_one_test_set_source():

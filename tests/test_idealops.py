@@ -18,6 +18,7 @@ from commlab import (
     support_size,
     tuple_gauge_norm,
 )
+from commlab import idealops
 from commlab.idealops import DENSE_CORNER, band_commutator, embed
 
 MODELS = [
@@ -327,6 +328,43 @@ def test_band_commutator_on_a_stacked_tuple_matches_the_members_bitwise(name, c)
         for j, t in enumerate(tau.matrices):
             member = operand if operand.ndim == 2 else operand[j]
             assert np.array_equal(got[j], band_commutator(t, member, b))
+
+
+DIAGONAL_CORNERS = (DENSE_CORNER + 1, 129, 449)
+
+
+@pytest.mark.parametrize("c", DIAGONAL_CORNERS)
+@pytest.mark.parametrize("name", ["lap-pos", "shift-parts"])
+def test_band_commutator_reads_a_diagonal_operand_off_its_diagonals(name, c, monkeypatch):
+    # a ramp ending in zeros, so that T * 0 products make signed zeros, and a
+    # complex diagonal: the diagonal route gives the band route's bits (the
+    # operand as a stack of one) and the dense products', signed zeros included
+    rng = np.random.default_rng(33)
+    tau = instantiate_model(OperatorModelSpec(name=name), 456)
+    b = tau.bandwidth
+    ts = tau.corner(c)
+    ramp = np.clip(np.linspace(1.5, -0.5, c), 0.0, 1.0)
+    assert ramp[-1] == 0.0
+    calls = []
+    route = idealops._diagonal_commutator
+    monkeypatch.setattr(idealops, "_diagonal_commutator",
+                        lambda *args: calls.append(1) or route(*args))
+    for a in (ramp, rng.standard_normal(c) + 1j * rng.standard_normal(c)):
+        s = np.diag(a)
+        got = band_commutator(ts, s, b)
+        assert got.tobytes() == band_commutator(ts, s[None], b).tobytes()
+        for t, member in zip(ts, got):
+            assert band_commutator(t, s, b).tobytes() == member.tobytes()
+            assert member.tobytes() == (t.astype(got.dtype) @ s - s @ t).tobytes()
+    assert len(calls) == 2 * (1 + tau.n)
+    # an operand with one entry off its diagonal takes the band route, as before
+    s = np.diag(ramp)
+    s[0, 1] = s[1, 0] = 0.5
+    calls.clear()
+    for operand in (s, s[None]):
+        got = band_commutator(ts, operand, b)
+        assert got.tobytes() == band_commutator(ts, np.stack([s] * tau.n), b).tobytes()
+    assert not calls
 
 
 def test_commutator_dimension_mismatch():

@@ -43,7 +43,7 @@ from commlab import (
     schatten,
     sup_gauge,
 )
-from commlab import functionals, idealops, lebesgue, sampling
+from commlab import functionals, gauges, idealops, lebesgue, sampling
 from commlab.gauges import _frobenius, diagonal_or_none
 
 G2 = schatten(2)
@@ -869,6 +869,22 @@ def test_inputs_measured_on_an_equal_tuple_built_again_are_accepted():
     other = decompose([phi], build_schedule(again, G2, WINDOWS), tau, G2,
                       sample_ops(again, seed=96))
     assert other == same
+
+
+def test_tuple_records_compare_and_hash_by_identity():
+    # HermitianTuple, TestOperator and UnitSchedule hold arrays: a field-wise
+    # == raised ValueError and hash TypeError, so they compare by identity
+    tau, again = lap(16), lap(16)
+    records = [(tau, again),
+               (sample_ops(tau, seed=97, count=1)[1], sample_ops(tau, seed=97, count=1)[1]),
+               (build_schedule(tau, G2, [(2, 4)]), build_schedule(tau, G2, [(2, 4)]))]
+    for record, twin in records:
+        assert record == record and record != twin
+        assert hash(record) == hash(record)
+        assert len({record, twin}) == 2
+    # the tuple check still accepts a record measured on an equal tuple built again
+    gauges._check_tuple(tau, test_set=sample_ops(again, seed=97, count=1),
+                        schedule=[build_schedule(again, G2, [(2, 4)])])
 
 
 # ------------------------------------------------------------- projection
