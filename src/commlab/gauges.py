@@ -192,11 +192,18 @@ def _frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(_divide(m, scale))) * scale
 
 
-def _scaled_singular_values(matrix) -> tuple[np.ndarray, float]:
-    """The nonincreasing singular values of M / scale, and its `_range_scale`."""
-    m = _square(matrix)
+def _scaled_singular_values(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The nonincreasing singular values of M / scale, for any 2-D M, and its `_range_scale`."""
     scale = _range_scale(m, squares=False)
     return np.linalg.svd(_divide(m, scale), compute_uv=False), scale
+
+
+def _rect_norm(gauge: GaugeSpec, m: np.ndarray) -> float:
+    """The gauge of the singular values of any 2-D M, taken on M / its `_range_scale`:
+    a rectangle's gauge norm; inf beyond the float range."""
+    s, scale = _scaled_singular_values(m)
+    # python floats: a value beyond the float range becomes inf without a warning
+    return _sorted_gauge_value(gauge, s) * scale
 
 
 def singular_values(matrix) -> np.ndarray:
@@ -205,7 +212,7 @@ def singular_values(matrix) -> np.ndarray:
     A matrix beyond the range of `_range_scale` is factored once, divided by the
     power of two at its largest part; every other matrix keeps the bits of its SVD.
     """
-    s, scale = _scaled_singular_values(matrix)
+    s, scale = _scaled_singular_values(_square(matrix))
     if scale == 1.0:
         return s
     with np.errstate(over="ignore"):  # a singular value beyond the float range is inf
@@ -214,12 +221,11 @@ def singular_values(matrix) -> np.ndarray:
 
 def gauge_norm(gauge: GaugeSpec, matrix) -> float:
     """Gauge norm of a matrix: the gauge applied to its singular values; inf beyond the float range."""
+    m = _square(matrix)
     if gauge.family == SCHATTEN and gauge.p == 2:
         # Frobenius route, identical value without the factorization.
-        return _frobenius(_square(matrix))
-    s, scale = _scaled_singular_values(matrix)
-    # python floats: a value beyond the float range becomes inf without a warning
-    return _sorted_gauge_value(gauge, s) * scale
+        return _frobenius(m)
+    return _rect_norm(gauge, m)
 
 
 def support_size(matrix: np.ndarray) -> int:

@@ -11,7 +11,8 @@ leading (support + bandwidth) corner c, which is both bitwise reproducible
 across dimensions and cheap when the support is small.  Every [T, S] in the
 package goes through `band_commutator`, which takes a large corner from the
 2b + 1 diagonals of T at O(c^2 b) cost (O(c b) against a diagonal operand)
-and a small one, or a band as wide as it, by dense products.
+and a small one, or a band as wide as it, by dense products; a leading
+rows x cols block of one is read off the diagonals by `commutator_strip`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gauges import (GaugeSpec, _divide, _range_scale, diagonal_or_none, gauge_norm,
-                     operator_norm, support_size)
+from .gauges import GaugeSpec, diagonal_or_none, gauge_norm, operator_norm, support_size
 
 HERMITIAN_TOL = 1e-12
 
@@ -291,22 +291,33 @@ def commutator_tuple(tau: HermitianTuple, s) -> tuple[np.ndarray, ...]:
     return ks if c == dim else tuple(embed(k, dim) for k in ks)
 
 
-def commutator_row_norms(commutators) -> np.ndarray:
-    """The (n, N) row norms of a tuple of N x N matrices, such as `commutator_tuple` returns.
+def commutator_strip(tau: HermitianTuple, s, rows: int, cols: int) -> np.ndarray:
+    """The (n, rows, cols) stack of the leading rows x cols blocks of the [T_j, S].
 
-    Row i of member j holds |K_j[i, :]|, the sum of whose squares over i is
-    |K_j|_F^2.  Each member is divided by its `_range_scale` before its squares
-    are summed, as `gauges._frobenius` divides it, so no square overflows or
-    goes subnormal; a row norm beyond the float range is inf.
+    s is a leading block of S, which vanishes outside it.  The strip reads S
+    only on its leading (rows + b) x (cols + b) corner, and T on its 2b + 1
+    diagonals, at O(n rows cols b) cost: no corner of T is formed.  Each
+    entry is a sum in a fixed order, so a strip's entries do not depend on
+    its extent.
     """
-    rows = []
-    with np.errstate(over="ignore"):  # a row norm beyond the float range is inf
-        for k in commutators:
-            scale = _range_scale(k, squares=True)
-            m = np.ascontiguousarray(_divide(k, scale))
-            parts = m.view(m.real.dtype) if m.dtype.kind == "c" else m  # real and imaginary parts
-            rows.append(np.sqrt((parts * parts).sum(axis=1)) * scale)
-    return np.array(rows)
+    b, dim = tau.bandwidth, tau.dimension
+    if not (0 <= rows <= dim and 0 <= cols <= dim):
+        raise ValueError(f"strip {rows} x {cols} outside the dimension {dim}")
+    sm = np.asarray(s)
+    p, q = min(rows + b, dim), min(cols + b, dim)
+    field = np.promote_types(tau.dtype, sm.dtype)
+    block = np.zeros((p, q), dtype=field)
+    block[:min(p, sm.shape[0]), :min(q, sm.shape[1])] = sm[:p, :q]
+    out = np.zeros((tau.n, rows, cols), dtype=field)
+    for d in range(-b, b + 1):
+        t_d = tau.diagonals[:, b + d].astype(field, copy=False)  # T[i, i + d] at i
+        lo = max(0, -d)
+        hi = max(lo, min(rows, p - d))  # (T S)[i] gains T[i, i + d] S[i + d]
+        out[:, lo:hi] += t_d[:, lo:hi, None] * block[lo + d:hi + d, :cols]
+        lo = max(0, d)
+        hi = max(lo, min(cols, q + d))  # (S T)[:, c] gains S[:, c - d] T[c - d, c]
+        out[:, :, lo:hi] -= block[:rows, lo - d:hi - d] * t_d[:, None, lo - d:hi - d]
+    return out
 
 
 def tuple_gauge_norm(matrices, gauge: GaugeSpec) -> float:

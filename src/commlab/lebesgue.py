@@ -14,6 +14,7 @@ import numpy as np
 
 from .functionals import (
     _TRACE_NORM,
+    FunctionalSpec,
     NormBounds,
     NotConverged,
     TracePart,
@@ -24,15 +25,13 @@ from .functionals import (
     rows_read,
     trace_part_norms,
 )
-from .gauges import (GaugeSpec, _check_gauge, _check_tuple, _frobenius, _sorted_gauge_value,
-                     diagonal_or_none, gauge_norm, schatten)
-from .idealops import HermitianTuple, commutator_tuple, embed
-from .qau import UnitElement, UnitSchedule, _member_norms
+from .gauges import GaugeSpec, _check_gauge, _check_tuple, _rect_norm
+from .idealops import HermitianTuple, commutator_strip, embed
+from .qau import UnitElement, UnitSchedule
 from .sampling import TestOperator
 
 RESIDUAL_TOL = 1e-8
 SOUNDNESS_TOL = 1e-9
-_FROBENIUS = schatten(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,69 +92,51 @@ def _trace_factors(tp: TracePart, tau: HermitianTuple, units):
     x_terms = [None] * len(units)
     for i, unit in enumerate(units if sx and tp.x.any() else ()):
         c = min(unit.dimension, max(sx, unit.cap_r))
-        rows = embed(tp.x, c)[:sx] - tp.x @ embed(unit.block, c)[:sx]
-        x_terms[i] = _sorted_gauge_value(_TRACE_NORM, np.linalg.svd(rows, compute_uv=False))
+        x_terms[i] = _rect_norm(_TRACE_NORM,
+                                embed(tp.x, c)[:sx] - tp.x @ embed(unit.block, c)[:sx])
     return x1, y_norms, x_terms
 
 
-def _by_rows(gauge: GaugeSpec, diag) -> bool:
-    """Whether `_shrunk_norms` takes a unit with diagonal diag (None when the
-    unit is not diagonal) from the row norms of [T_j, S] alone."""
-    return diag is not None and gauge == _FROBENIUS
+def _blocks(tps, factors) -> set:
+    """The (j, sy) of each Y_j of nonzero norm, of support sy: where its terms are taken."""
+    return {(j, y.shape[0]) for tp, (_, y_norms, _) in zip(tps, factors)
+            for j, (y, yn) in enumerate(zip(tp.ys, y_norms)) if yn}
 
 
-def _shrunk_norms(gauge: GaugeSpec, unit: UnitElement, diag, rows, commutators,
-                  wanted) -> list:
-    """Per operator and unit: |(I - A) K_j|_gauge for each wanted, nonzero
-    K_j = [T_j, S], else None; diag is A's diagonal, None when A is not diagonal.
+def _unit_terms(gauge: GaugeSpec, tau: HermitianTuple, unit: UnitElement, blocks) -> dict:
+    """{(j, sy): |[T_j, A][:sy, :]|_gauge}: the sy x (r + b) rectangle where the
+    leading sy rows of [T_j, A] live, from A's leading sy + b rows."""
+    top = max((sy for _, sy in blocks), default=0)
+    strips = commutator_strip(tau, unit.block, top, tau.commutator_corner(unit.cap_r))
+    return {(j, sy): _rect_norm(gauge, strips[j, :sy]) for j, sy in blocks}
 
-    At Schatten-2 a diagonal A (a ramp) scales row i < r of K_j by 1 - a_i, so
-    the norm is the Frobenius norm of the row norms of K_j (`rows`, as
-    `commutator_row_norms` gives them) scaled the same way, and `commutators`
-    is not read.  Otherwise the norm is taken of (I - A) K_j, formed from
-    `commutators`: a diagonal A scales the leading r rows of K_j, the same
-    bits as A @ K_j.
+
+def _shrunk_terms(gauge: GaugeSpec, tau: HermitianTuple, units, blocks, s) -> list:
+    """Per unit A, {(j, sy): |((I - A)[T_j, S])[:sy, :sy]|_gauge}.
+
+    One strip K_j of [T_j, S], its leading max(R, sy) rows and sy columns for
+    the largest cap R and support sy, serves every unit: the block is
+    K_j[:sy, :sy] - A[:sy, :r] K_j[:r, :sy] for the unit A of cap r.
     """
-    r, a = unit.cap_r, unit.block
-    norms = [None] * len(wanted)
-    if _by_rows(gauge, diag):
-        factors = np.abs(1.0 - diag)
-        for j, (nu, want) in enumerate(zip(rows, wanted)):
-            if want and nu.any():
-                norms[j] = _frobenius(np.concatenate((factors * nu[:r], nu[r:])))
-        return norms
-    for j, (k, want) in enumerate(zip(commutators, wanted)):
-        if want and k.any():
-            shrunk = np.array(k, dtype=np.complex128)
-            shrunk[:r] -= a @ k[:r] if diag is None else diag[:, None] * k[:r]
-            norms[j] = gauge_norm(gauge, shrunk)
-    return norms
+    top = max((sy for _, sy in blocks), default=0)
+    ks = commutator_strip(tau, s, max([top] + [unit.cap_r for unit in units]), top)
+    terms = []
+    for unit in units:
+        r, a = unit.cap_r, unit.block
+        terms.append({})
+        for j, sy in blocks:
+            m = np.array(ks[j, :sy, :sy], dtype=np.result_type(a, ks))
+            m[:r] -= a[:sy] @ ks[j, :r, :sy]
+            terms[-1][j, sy] = _rect_norm(gauge, m)
+    return terms
 
 
-def _shrunk_by_unit(gauge: GaugeSpec, tau: HermitianTuple, units, diags, op: TestOperator,
-                    wanted) -> list:
-    """`_shrunk_norms` of op for each unit; diags are the units' `diagonal_or_none`.
-
-    The tuple [T_j, S] is formed only when some unit is off the row route (not
-    a ramp, or not Schatten-2), and never for an S whose carried commutator
-    norm is 0 (the identity).
-    """
-    commutators = ()
-    if any(wanted) and op.commutator_norm and not all(_by_rows(gauge, d) for d in diags):
-        commutators = commutator_tuple(tau, op.matrix)
-    return [_shrunk_norms(gauge, unit, d, op.commutator_rows, commutators, wanted)
-            for unit, d in zip(units, diags)]
-
-
-def _certificate(x_term, shrunk, member_norms, y_norms, s_norm: float) -> float:
+def _certificate(x_term, tp: TracePart, y_norms, shrunk, unit_terms, s_norm: float) -> float:
     """The three terms of `recovery_error_bound`, summed from their factors."""
     total = 0.0 if x_term is None else x_term * s_norm
-    for sn, yn in zip(shrunk, y_norms):
-        if yn and sn is not None:
-            total += sn * yn
-    for an, yn in zip(member_norms, y_norms):
+    for j, (y, yn) in enumerate(zip(tp.ys, y_norms)):
         if yn:
-            total += an * yn * s_norm
+            total += (shrunk[j, y.shape[0]] + unit_terms[j, y.shape[0]] * s_norm) * yn
     return float(total)
 
 
@@ -163,25 +144,32 @@ def recovery_error_bound(tp: TracePart, tau: HermitianTuple, gauge: GaugeSpec,
                          unit: UnitElement, op: TestOperator) -> float:
     """Certified bound on |trace part at S minus trace part at A S|, S = op.matrix.
 
-    Three terms, each exact at the instantiated dimension:
+    Three terms, each exact at the instantiated dimension, with P_j the
+    projection onto the leading sy_j coordinates, where Y_j lives:
 
         |X - X A|_1 * ||S||
-      + sum_j |(I - A)[S, T_j]|_gauge * |Y_j|_dual
-      + sum_j |[A, T_j]|_gauge * |Y_j|_dual * ||S||
+      + sum_j |P_j (I - A)[T_j, S] P_j|_gauge * |Y_j|_dual
+      + sum_j |P_j [T_j, A]|_gauge * |Y_j|_dual * ||S||
 
-    ||S|| and the row norms of [T_j, S] are those op carries, which must be
-    in this gauge and on tau (`measure_test_operator` takes them).  At Schatten-2 a
-    diagonal unit (a ramp) takes the middle term from the row norms alone;
-    any other unit or gauge forms the tuple [T_j, S].  `decompose` sums the
-    same factors, each taken once at the level it depends on.
+    Tr(Y_j M) = Tr(Y_j P_j M P_j) and [T_j, (I - A) S] = (I - A)[T_j, S]
+    - [T_j, A] S, so Hoelder's inequality bounds the gap by these terms, and
+    each is at most the unrestricted term.  A unit that is the identity on
+    the rows the trace part reads (floor at least sx and sy_j + b) has every
+    term exactly 0.  ||S|| is the norm op carries, which must be in this
+    gauge and on tau (`measure_test_operator` takes it).  Each norm is taken
+    on the singular values of a rectangle at most cap + b wide (`_rect_norm`).
+    `decompose` sums the same factors, each taken once at the level it
+    depends on.
     """
     _check_gauge(gauge, trace_part=[tp], test_set=[op])
-    _, y_norms, (x_term,) = _trace_factors(tp, tau, [unit])
+    factors = _trace_factors(tp, tau, [unit])
     if op.matrix.shape != (tau.dimension,) * 2 or unit.dimension != tau.dimension:
         raise ValueError("operand or unit dimension does not match the tuple")
     _check_tuple(tau, test_set=[op])
-    (shrunk,) = _shrunk_by_unit(gauge, tau, [unit], [diagonal_or_none(unit.block)], op, y_norms)
-    return _certificate(x_term, shrunk, _member_norms(tau, gauge, unit.block), y_norms,
+    _, y_norms, (x_term,) = factors
+    blocks = _blocks([tp], [factors])
+    (shrunk,) = _shrunk_terms(gauge, tau, [unit], blocks, op.matrix)
+    return _certificate(x_term, tp, y_norms, shrunk, _unit_terms(gauge, tau, unit, blocks),
                         op.operator_norm)
 
 
@@ -221,33 +209,34 @@ def decompose(phis, schedule: UnitSchedule, tau: HermitianTuple, gauge: GaugeSpe
     gives the residual on finitely supported members and the sampled norm
     lower bound, checked against the split upper bounds.  A NotConverged
     becomes a diagnostic; a report fails exactly when it has diagnostics,
-    per operator in test-set order, the additivity one last.  Each bound
-    factor is formed once, at the level it depends on: per unit, per
-    operator or per functional.  The norms of the units and of S are those the
-    schedule and the TestOperators carry, which must be in this gauge and on tau; at
-    Schatten-2 a ramp's |(I - A_k)[T_j, S]| comes from the carried row norms,
-    so a ramp schedule forms no N x N commutator.
+    per operator in test-set order, the additivity one last.  Each factor of
+    the restricted terms is formed once, at the level it depends on, for
+    every (member j, support sy) that some Y_j of nonzero norm needs: per
+    unit |P_j [T_j, A_k]|, per operator |P_j (I - A_k)[T_j, S] P_j| for every
+    step, from one strip of each [T_j, S], and per functional |Y_j|_dual and
+    |X - X A_k|_1.  ||S|| is the norm each TestOperator carries, which must be
+    in this gauge and on tau.  No commutator or norm operand is N x N.
     """
     phis = tuple(phis)
     tps = [phi.trace_part or TracePart.zero(tau.n, gauge) for phi in phis]
     _check_gauge(gauge, trace_part=tps, schedule=[schedule], test_set=test_set)
     _check_tuple(tau, schedule=[schedule], test_set=test_set)
-    steps, member_norms = schedule.steps, schedule.member_norms
+    steps = schedule.steps
     factors = [_trace_factors(tp, tau, steps) for tp in tps]
-    wanted = [any(column) for column in zip(*(y_norms for _, y_norms, _ in factors))]
-    diags = [diagonal_or_none(unit.block) for unit in steps]
-    shrunk = [_shrunk_by_unit(gauge, tau, steps, diags, op, wanted) for op in test_set]
+    blocks = _blocks(tps, factors)
+    unit_terms = [_unit_terms(gauge, tau, unit, blocks) for unit in steps]
+    shrunk = [_shrunk_terms(gauge, tau, steps, blocks, op.matrix) for op in test_set]
 
     reports = []
-    for i, (phi, (x1, y_norms, x_terms)) in enumerate(zip(phis, factors)):
+    for i, (phi, tp, (x1, y_norms, x_terms)) in enumerate(zip(phis, tps, factors)):
         diagnostics, records, residuals, directs = [], [], [], []
         idem_gap = 0.0
         for op, op_shrunk in zip(test_set, shrunk):
             sm = op.matrix
             direct, target = _eval_split(phi, tau, sm, strict=False)
             directs.append(direct)
-            bounds = tuple(_certificate(x, sn, an, y_norms, op.operator_norm)
-                           for x, sn, an in zip(x_terms, op_shrunk, member_norms))
+            bounds = tuple(_certificate(x, tp, y_norms, sn, un, op.operator_norm)
+                           for x, sn, un in zip(x_terms, op_shrunk, unit_terms))
             try:
                 rec, traces = _recover(phi, schedule, tau, sm)
                 seq, limit = rec.sequence, rec.limit
@@ -308,30 +297,37 @@ def projection_check(phis, schedule: UnitSchedule, tau: HermitianTuple,
                      gauge: GaugeSpec, test_set: tuple[TestOperator, ...]) -> ProjectionReport:
     """Check idempotence, linearity and the norm sandwich of the recovery map.
 
-    One `decompose` call covers every FunctionalSpec, and the checks read its
-    reports: the idempotence gap; the additivity gap, how far the sampled norm
-    lower bound exceeds the split upper bound; and for consecutive pairs the
-    linearity gap, between the limit detected on the sequence 2 a_k - b_k of
-    the pair's recovery values and 2 lim a - lim b.  Evaluation is linear in
-    the functional, so that sequence is the recovery of 2 phi_i - phi_{i+1}.
-    Raises NotConverged when a recovery, or a pair's combination, does not
-    settle; these checks assume convergence.
+    One `decompose` call covers every FunctionalSpec and, for each consecutive
+    pair (phi_i, phi_i+1), the trace part of 2 phi_i - phi_i+1 as its own
+    functional, each block 2 B - C with B and C embedded at the larger
+    support.  The checks read its reports: the idempotence gap; the
+    additivity gap, how far the sampled norm lower bound exceeds the split
+    upper bound; and per pair the linearity gap, between the recovered limit
+    of the combination and 2 lim a - lim b.  A singular part needs no
+    combining: it vanishes on every A_k S once its windows lie past the caps,
+    which the recovery assumes.  Raises NotConverged when a recovery, the
+    combinations' included, does not settle; these checks assume convergence.
     """
-    reports = decompose(phis, schedule, tau, gauge, test_set)
+    def mix(u, v):
+        size = max(u.shape[0], v.shape[0])
+        return 2.0 * embed(u, size) - embed(v, size)
+
+    phis = tuple(phis)
+    tps = [phi.trace_part or TracePart.zero(tau.n, gauge) for phi in phis]
+    combos = tuple(FunctionalSpec(trace_part=TracePart(mix(a.x, b.x), tuple(map(mix, a.ys, b.ys)),
+                                                       gauge))
+                   for a, b in zip(tps[0::2], tps[1::2]))
+    reports = decompose(phis + combos, schedule, tau, gauge, test_set)
     for rec in (rec for report in reports for rec in report.per_s):
         if rec.limit is None:
             raise NotConverged(f"{rec.s_id}: recovery did not converge", rec.sequence)
 
-    lin = []
-    for first, second in zip(reports[0::2], reports[1::2]):
-        gap = 0.0
-        for a, b in zip(first.per_s, second.per_s):
-            mixed = detect_limit([2.0 * u - v for u, v in zip(a.sequence, b.sequence)])
-            gap = max(gap, abs(mixed - (2.0 * a.limit - b.limit)))
-        lin.append(float(gap))
-
+    reports, mixed = reports[:len(phis)], reports[len(phis):]
+    lin = [max((abs(c.limit - (2.0 * a.limit - b.limit))
+                for a, b, c in zip(first.per_s, second.per_s, combo.per_s)), default=0.0)
+           for first, second, combo in zip(reports[0::2], reports[1::2], mixed)]
     return ProjectionReport(
         idempotence_gaps=tuple(report.idempotence_gap for report in reports),
-        linearity_gaps=tuple(lin),
+        linearity_gaps=tuple(float(gap) for gap in lin),
         additivity_gaps=tuple(max(0.0, r.additivity.lower - r.additivity.upper)
                               for r in reports))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gauges import GaugeSpec, operator_norm
-from .idealops import HermitianTuple, commutator_row_norms, commutator_tuple, tuple_gauge_norm
+from .idealops import HermitianTuple, commutator_tuple, tuple_gauge_norm
 
 KINDS = ("random-hermitian", "banded", "finitely-supported")
 
@@ -40,10 +40,9 @@ class TestOperator:
 
     `operator_norm` is |S| and `commutator_norm` max_j |[T_j, S]|_gauge in the
     `gauge` it was measured in, against the tuple `tau`; their max is the
-    max-form norm.
-    `commutator_rows` is the read-only (n, N) array of the row norms of the
-    [T_j, S] (`commutator_row_norms`), from which the recovery bounds take
-    |(I - A)[T_j, S]|_2 for a diagonal unit A without forming [T_j, S] again.
+    max-form norm.  No commutator is carried: the recovery bounds read
+    `operator_norm` as |S| and form of each [T_j, S] only the leading block
+    that a trace part's Y_j pairs with, from `matrix`.
     """
 
     op_id: str
@@ -51,7 +50,6 @@ class TestOperator:
     kind: str
     operator_norm: float
     commutator_norm: float
-    commutator_rows: np.ndarray
     gauge: GaugeSpec
     tau: HermitianTuple
 
@@ -84,17 +82,13 @@ def measure_test_operator(op_id: str, kind: str, matrix, tau: HermitianTuple,
                           gauge: GaugeSpec) -> TestOperator:
     """The `TestOperator` of S = matrix as it stands, its norms taken in `gauge`.
 
-    One `commutator_tuple` gives both `commutator_norm` and `commutator_rows`,
-    and is dropped on return.  The matrix is carried as a read-only view.
+    One `commutator_tuple` gives `commutator_norm` and is dropped on return.
+    The matrix is carried as a read-only view.
     """
     m = np.asarray(matrix).view()
-    s_norm = operator_norm(m)
-    ks = commutator_tuple(tau, m)
-    rows = commutator_row_norms(ks)
-    for a in (m, rows):
-        a.setflags(write=False)
-    return TestOperator(op_id=op_id, matrix=m, kind=kind, operator_norm=s_norm,
-                        commutator_norm=tuple_gauge_norm(ks, gauge), commutator_rows=rows,
+    m.setflags(write=False)
+    return TestOperator(op_id=op_id, matrix=m, kind=kind, operator_norm=operator_norm(m),
+                        commutator_norm=tuple_gauge_norm(commutator_tuple(tau, m), gauge),
                         gauge=gauge, tau=tau)
 
 
@@ -104,30 +98,23 @@ def generate_test_set(spec: SampleSpec, tau: HermitianTuple,
 
     Each draw is measured (`measure_test_operator`), and each nonzero one
     scaled so its max-form norm (operator norm vs commutator gauge norm) is
-    one, its carried norms and row norms over the same scale; the identity
-    already has norm one and commutes with the tuple.
+    one, its carried norms over the same scale; the identity already has
+    norm one and commutes with the tuple.
     """
     rng = np.random.default_rng(spec.seed)
     dim = tau.dimension
     eye = np.eye(dim, dtype=np.complex128)
-    zeros = np.zeros((tau.n, dim))
-    for a in (eye, zeros):
-        a.setflags(write=False)
+    eye.setflags(write=False)
     ops = [TestOperator(op_id="identity", matrix=eye, kind="identity", operator_norm=1.0,
-                        commutator_norm=0.0, commutator_rows=zeros, gauge=gauge, tau=tau)]
+                        commutator_norm=0.0, gauge=gauge, tau=tau)]
     for i in range(spec.count):
         kind = spec.kinds[i % len(spec.kinds)]
         op = measure_test_operator(f"{kind}-{i}", kind, _sample_matrix(
             rng, kind, dim, spec.support, spec.bandwidth), tau, gauge)
         norm = max(op.operator_norm, op.commutator_norm)
         if norm > 1e-14:
-            m, rows = op.matrix / norm, op.commutator_rows
-            # in place: a fresh (n, N) array here raised decompose-quotient's peak RSS
-            # from 87.3 to 89.3 MB in 13 of 24 bench runs (1 of 14 in place)
-            rows.setflags(write=True)
-            rows /= norm
-            for a in (m, rows):
-                a.setflags(write=False)
+            m = op.matrix / norm
+            m.setflags(write=False)
             op = replace(op, matrix=m, operator_norm=op.operator_norm / norm,
                          commutator_norm=op.commutator_norm / norm)
         ops.append(op)

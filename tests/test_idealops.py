@@ -367,6 +367,27 @@ def test_band_commutator_reads_a_diagonal_operand_off_its_diagonals(name, c, mon
     assert not calls
 
 
+@pytest.mark.parametrize("spec", MODELS, ids=lambda s: s.name)
+@pytest.mark.parametrize("rows, cols", [(0, 5), (7, 0), (1, 1), (11, 3), (40, 40), (48, 17)])
+def test_commutator_strip_is_the_leading_block_of_the_commutators(spec, rows, cols):
+    # a full operand, and a leading block that the strip pads with zeros; entries
+    # agree bitwise with the strip read on another extent
+    rng = np.random.default_rng(31)
+    tau = instantiate_model(spec, 48)
+    s = random_hermitian(rng, 48)
+    small = np.zeros_like(s)
+    small[:9, :6] = s[:9, :6]
+    for operand, block in ((s, s), (small, s[:9, :6]), (s.real, s.real)):
+        got = idealops.commutator_strip(tau, block, rows, cols)
+        assert got.shape == (tau.n, rows, cols)
+        for k, t in zip(got, tau.matrices, strict=True):
+            assert np.allclose(k, (t @ operand - operand @ t)[:rows, :cols], rtol=0, atol=1e-13)
+        wider = idealops.commutator_strip(tau, block, 48, 48)
+        assert np.array_equal(got, wider[:, :rows, :cols])
+    with pytest.raises(ValueError, match="outside the dimension"):
+        idealops.commutator_strip(tau, s, 49, 1)
+
+
 def test_commutator_dimension_mismatch():
     tau = instantiate_model(OperatorModelSpec(name="lap-pos"), 8)
     with pytest.raises(ValueError):

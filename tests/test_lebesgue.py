@@ -17,8 +17,6 @@ from commlab import (
     SampleSpec,
     TracePart,
     build_schedule,
-    commutator_row_norms,
-    commutator_tuple,
     conjugate_gauge,
     coordinate_tail_states,
     decompose,
@@ -32,6 +30,8 @@ from commlab import (
     gauge_norm,
     generate_test_set,
     instantiate_model,
+    ky_fan,
+    ky_fan_dual,
     measure_test_operator,
     operator_norm,
     optimize_unit,
@@ -44,7 +44,8 @@ from commlab import (
     sup_gauge,
 )
 from commlab import functionals, gauges, idealops, lebesgue, sampling
-from commlab.gauges import _frobenius, diagonal_or_none
+from commlab.gauges import gauge_value
+from commlab.idealops import embed
 
 G2 = schatten(2)
 EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -203,19 +204,51 @@ def test_bound_vanishes_on_full_identity_unit():
     assert eval_trace_part(tp, tau, unit.matrix @ s) == eval_trace_part(tp, tau, s)
 
 
-def test_bound_dominates_measured_gap_on_seeded_instances():
+def extremal_case(gauge):
+    """(gap, bound) with Y = 0 and S the adjoint polar factor of M = X (I - A), a
+    unitary: the gap |Tr(M S)| is |M|_1, the X term at ||S|| = 1, so the bound is attained."""
+    rng = np.random.default_rng(95)
+    tau = lap(48)
+    unit = ramp_unit(tau, 3, 12)
+    tp = TracePart(x=random_block(rng, 8), ys=(EMPTY, EMPTY), gauge=gauge)
+    u, _, vh = np.linalg.svd(embed(tp.x, 48) @ (np.eye(48) - unit.matrix))
+    s = vh.conj().T @ u.conj().T
+    gap = abs(eval_trace_part(tp, tau, s) - eval_trace_part(tp, tau, unit.matrix @ s))
+    return gap, recovery_error_bound(tp, tau, gauge, unit, measured(tau, s, gauge))
+
+
+@pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge()], ids=lambda g: g.label)
+def test_bound_dominates_measured_gap_on_seeded_instances(gauge):
+    # supports 4..12 reach past the floors 2..6, so most gaps are nonzero;
+    # every other case takes an optimized unit
     rng = np.random.default_rng(67)
     tau = lap(48)
-    for _ in range(50):
-        m = int(rng.integers(3, 10))
+    nonzero = 0
+    for case in range(50):
+        m = int(rng.integers(2, 7))
         r = int(rng.integers(m + 2, 44))
-        unit = ramp_unit(tau, m, r)
-        tp = random_trace_part(rng, support=int(rng.integers(2, 7)))
+        unit = optimize_unit(tau, gauge, m, r, 10).unit if case % 2 else ramp_unit(tau, m, r)
+        support = int(rng.integers(4, 13))
+        ys = (random_block(rng, int(rng.integers(1, support + 1))), random_block(rng, support))
+        tp = TracePart(x=random_block(rng, support), ys=ys, gauge=gauge)
         s = hermitian(rng, 48)
         gap = abs(eval_trace_part(tp, tau, s)
                   - eval_trace_part(tp, tau, unit.matrix @ s))
-        bound = recovery_error_bound(tp, tau, G2, unit, measured(tau, s))
+        bound = recovery_error_bound(tp, tau, gauge, unit, measured(tau, s, gauge))
         assert gap <= bound + 1e-9
+        nonzero += gap > 1e-6
+    assert nonzero >= 40
+    gap, bound = extremal_case(gauge)
+    assert gap <= bound + 1e-9
+    assert gap == pytest.approx(bound, rel=1e-12)
+
+
+def test_a_halved_bound_fails_the_extremal_case(monkeypatch):
+    certificate = lebesgue._certificate
+    monkeypatch.setattr(lebesgue, "_certificate", lambda *args: certificate(*args) / 2)
+    for gauge in (schatten(1), G2, sup_gauge()):
+        gap, bound = extremal_case(gauge)
+        assert gap > bound + 1e-9
 
 
 def test_bounds_nonincreasing_along_ramp_schedule():
@@ -247,45 +280,23 @@ def test_bound_input_validation():
         recovery_error_bound(tp, tau, G2, ramp_unit(lap(40), 4, 12), op)
 
 
-@pytest.mark.parametrize("model", ["lap-pos", "shift-parts"])
-def test_row_route_matches_the_matrix_route_on_ramps(model):
-    # every draw kind; the matrix route is the one a non-diagonal unit takes (diag None)
-    tau = instantiate_model(OperatorModelSpec(name=model), DIM)
-    sched = build_schedule(tau, G2, WINDOWS)
-    ops = generate_test_set(SampleSpec(seed=91, count=6, kinds=sampling.KINDS), tau, G2)
-    wanted = [True] * tau.n
-    for op in ops:
-        ks = commutator_tuple(tau, op.matrix)
-        fresh = commutator_row_norms(ks)
-        assert not op.commutator_rows.flags.writeable
-        assert np.allclose(op.commutator_rows, fresh, rtol=1e-13, atol=0.0)
-        for unit in sched.steps:
-            diag = diagonal_or_none(unit.block)
-            want = lebesgue._shrunk_norms(G2, unit, None, (), ks, wanted)
-            for rows in (op.commutator_rows, fresh):
-                got = lebesgue._shrunk_norms(G2, unit, diag, rows, (), wanted)
-                assert [g is None for g in got] == [w is None for w in want]
-                for g, w in zip(got, want):
-                    assert g is None or g == pytest.approx(w, rel=1e-13, abs=0.0)
-
-
 @pytest.mark.parametrize("size", [1e200, 1e-200])
 def test_row_route_is_range_safe(size):
-    # squares of these entries overflow or go subnormal; the suite turns a
-    # RuntimeWarning into an error
+    # the leading rows of the terms, as rectangles whose squares overflow or go
+    # subnormal; the suite turns a RuntimeWarning into an error
     rng = np.random.default_rng(92)
     tau = lap(48)
-    unit = ramp_unit(tau, 6, 20)
-    diag = diagonal_or_none(unit.block)
-    ks = [size * random_block(rng, 48), size * rng.standard_normal((48, 48))]
-    rows = commutator_row_norms(ks)
-    assert np.isfinite(rows).all() and rows.min() > 0.0
-    got = lebesgue._shrunk_norms(G2, unit, diag, rows, (), [True, True])
-    for k, nu, g in zip(ks, rows, got, strict=True):
-        assert _frobenius(nu) == pytest.approx(_frobenius(k), rel=1e-13, abs=0.0)
-        shrunk = np.array(k)
-        shrunk[:20] -= diag[:, None] * k[:20]
-        assert g == pytest.approx(_frobenius(shrunk), rel=1e-13, abs=0.0)
+    unit = ramp_unit(tau, 3, 20)
+    tp = random_trace_part(rng, support=6)
+    s = hermitian(rng, 48)
+    for gauge in (schatten(1), G2, sup_gauge()):
+        rect = size * rng.standard_normal((3, 48))
+        want = gauge_value(gauge, np.linalg.svd(rect / size, compute_uv=False)) * size
+        assert gauges._rect_norm(gauge, rect) == pytest.approx(want, rel=1e-13, abs=0.0)
+        tp = replace(tp, gauge=gauge)
+        got = recovery_error_bound(tp, tau, gauge, unit, measured(tau, size * s, gauge))
+        want = recovery_error_bound(tp, tau, gauge, unit, measured(tau, s, gauge)) * size
+        assert np.isfinite(got) and got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gauges_equal_by_value_so_a_relabelled_trace_part_is_bounded():
@@ -331,7 +342,8 @@ def corner_case():
 
 
 def dense_bound(tp, tau, gauge, unit, s):
-    """The docstring's three terms of recovery_error_bound, as N x N products."""
+    """The docstring's three terms of recovery_error_bound: N x N products, cut to
+    the leading sy rows (and, in the middle term, columns) where each Y_j lives."""
     dim = tau.dimension
     a = np.asarray(unit.matrix)
     x = np.zeros((dim, dim), dtype=np.complex128)
@@ -339,9 +351,11 @@ def dense_bound(tp, tau, gauge, unit, s):
     s_norm = operator_norm(s)
     total = gauge_norm(schatten(1), x - x @ a) * s_norm
     for t, y in zip(tau.matrices, tp.ys):
+        sy = y.shape[0]
         yn = gauge_norm(conjugate_gauge(gauge), y)
-        total += gauge_norm(gauge, (np.eye(dim) - a) @ (s @ t - t @ s)) * yn
-        total += gauge_norm(gauge, a @ t - t @ a) * yn * s_norm
+        total += gauge_norm(gauge, ((np.eye(dim) - a) @ (s @ t - t @ s))[:sy, :sy]) * yn
+        rows = np.linalg.svd((a @ t - t @ a)[:sy], compute_uv=False)
+        total += gauge_value(gauge, rows) * yn * s_norm
     return total
 
 
@@ -451,23 +465,22 @@ def test_decompose_of_several_functionals_gives_each_its_own_report():
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
-    # a ramp schedule at Schatten-2 reads the carried row norms and forms no
-    # commutator; optimized units, and every unit at Schatten-1, form each
-    # operator's commutators once
+    # one strip of [T_j, S] per operator and one of [T_j, A_k] per unit serve
+    # every functional, in every gauge and schedule mode
     rng = np.random.default_rng(88)
     tau = lap()
     blocks = [(random_block(rng, 4), random_block(rng, 4), random_block(rng, 4))
               for _ in range(count)]
     calls = []
-    original = lebesgue.commutator_tuple
+    original = lebesgue.commutator_strip
 
-    def counting(tau, s):
+    def counting(tau, s, rows, cols):
         calls.append(s)
-        return original(tau, s)
+        return original(tau, s, rows, cols)
 
-    monkeypatch.setattr(lebesgue, "commutator_tuple", counting)
-    for gauge, mode, once in [(G2, "ramp", False), (G2, "optimized-then-monotonized", True),
-                              (schatten(1), "ramp", True)]:
+    monkeypatch.setattr(lebesgue, "commutator_strip", counting)
+    for gauge, mode in [(G2, "ramp"), (G2, "optimized-then-monotonized"),
+                        (schatten(1), "ramp")]:
         sched = build_schedule(tau, gauge, WINDOWS, mode=mode, max_iterations=10)
         phis = [FunctionalSpec(trace_part=TracePart(x=x, ys=(y1, y2), gauge=gauge))
                 for x, y1, y2 in blocks]
@@ -475,29 +488,44 @@ def test_decompose_takes_each_operators_commutators_once(monkeypatch, count):
         calls.clear()
         reports = decompose(phis, sched, tau, gauge, ops)
         assert len(reports) == count
-        # the identity's carried commutator norm is zero, so it takes none
-        want = [id(op.matrix) for op in ops if op.commutator_norm] if once else []
-        assert [id(s) for s in calls] == want
-        assert len(calls) == (len(ops) - 1) * once
+        assert [id(s) for s in calls] == ([id(u.block) for u in sched.steps]
+                                          + [id(op.matrix) for op in ops])
 
 
-def test_decompose_forms_no_n_sized_commutator_on_a_schatten_2_ramp(monkeypatch):
+@pytest.mark.parametrize("mode", ["ramp", "optimized-then-monotonized"])
+@pytest.mark.parametrize("gauge", [schatten(1), G2, sup_gauge(), ky_fan(3), ky_fan_dual(3)],
+                         ids=lambda g: g.label)
+def test_decompose_forms_no_n_sized_operand(monkeypatch, gauge, mode):
+    # every commutator, strip and norm, wherever the modules bind them: the
+    # operands and results (a strip's input S is read on its leading corner only)
+    rng = np.random.default_rng(98)
     tau = lap()
-    sched = build_schedule(tau, G2, WINDOWS)
-    phi = FunctionalSpec(trace_part=random_trace_part(np.random.default_rng(93)),
-                         singular_part=coordinate_tail_states(TAIL_RANGE))
-    ops = sample_ops(tau, seed=94, count=3)
+    sched = build_schedule(tau, gauge, WINDOWS, mode=mode, max_iterations=10)
+    tp = replace(random_trace_part(rng, support=6), gauge=gauge)
+    phi = FunctionalSpec(trace_part=tp, singular_part=coordinate_tail_states(TAIL_RANGE))
+    ops = sample_ops(tau, seed=94, count=3, gauge=gauge)
     shapes = []
-    original = idealops.band_commutator
 
-    def recording(t, s, bandwidth):
-        shapes.append(s.shape)
-        return original(t, s, bandwidth)
+    def recording(name, original):
+        def call(*args):
+            out = original(*args)
+            arrays = (out,) if name == "commutator_strip" else (args[1], out)
+            shapes.extend((name, np.shape(a)) for a in arrays if np.ndim(a) >= 2)
+            return out
+        return call
 
-    monkeypatch.setattr(idealops, "band_commutator", recording)
-    (report,) = decompose([phi], sched, tau, G2, ops)
+    for name, home in [("band_commutator", idealops), ("commutator_strip", idealops),
+                       ("gauge_norm", gauges), ("_rect_norm", gauges)]:
+        for module in (functionals, gauges, idealops, lebesgue):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(home, name)))
+    (report,) = decompose([phi], sched, tau, gauge, ops)
     assert report.status == "ok"
-    assert all(shape[-1] < DIM for shape in shapes)
+    for op in ops:
+        recovery_error_bound(tp, tau, gauge, sched.steps[-1], op)
+    assert {name for name, _ in shapes} == {"band_commutator", "commutator_strip",
+                                            "gauge_norm", "_rect_norm"}
+    assert all(max(shape[-2:]) < DIM for _, shape in shapes)
 
 
 def test_decompose_forms_each_product_once(monkeypatch):
@@ -614,10 +642,9 @@ def test_test_set_draws_are_measured_draws_scaled_to_norm_one(model):
         assert norm > 1e-14
         assert (got.op_id, got.kind, got.gauge) == (want.op_id, kind, G2)
         assert np.array_equal(got.matrix, want.matrix / norm)
-        assert np.array_equal(got.commutator_rows, want.commutator_rows / norm)
         assert got.operator_norm == want.operator_norm / norm
         assert got.commutator_norm == want.commutator_norm / norm
-        assert not (got.matrix.flags.writeable or got.commutator_rows.flags.writeable)
+        assert not got.matrix.flags.writeable
 
 
 def test_decompose_takes_no_n_sized_eigvalsh(monkeypatch):
@@ -941,19 +968,34 @@ def test_projection_linearity_on_random_pair():
     assert all(g == 0.0 for g in report.additivity_gaps)
 
 
+def combined(first, second):
+    """2 first - second on the trace parts, each block pair padded to the larger support."""
+    def mix(u, v):
+        size = max(u.shape[0], v.shape[0])
+        out = np.zeros((size, size), dtype=np.complex128)
+        out[:u.shape[0], :u.shape[0]] += 2.0 * u
+        out[:v.shape[0], :v.shape[0]] -= v
+        return out
+
+    a, b = first.trace_part, second.trace_part
+    return FunctionalSpec(trace_part=TracePart(
+        x=mix(a.x, b.x), ys=tuple(mix(u, v) for u, v in zip(a.ys, b.ys)), gauge=a.gauge))
+
+
 def test_projection_check_reads_linearity_off_one_decompose_pass(monkeypatch):
+    # supports 3..7: each combination pads the smaller blocks
     rng = np.random.default_rng(85)
     tau = lap()
     sched = build_schedule(tau, G2, WINDOWS)
-    phis = [FunctionalSpec(trace_part=random_trace_part(rng),
+    phis = [FunctionalSpec(trace_part=random_trace_part(rng, support=3 + i),
                            singular_part=coordinate_tail_states(TAIL_RANGE) if i % 2 else None)
             for i in range(5)]
     ops = sample_ops(tau, seed=86, count=3)
-    reports = decompose(phis, sched, tau, G2, ops)
-    want = tuple(max(abs(detect_limit([2.0 * u - v for u, v in zip(a.sequence, b.sequence)])
-                         - (2.0 * a.limit - b.limit))
-                     for a, b in zip(first.per_s, second.per_s, strict=True))
-                 for first, second in zip(reports[0::2], reports[1::2]))
+    combos = [combined(a, b) for a, b in zip(phis[0::2], phis[1::2])]
+    reports = decompose(phis + combos, sched, tau, G2, ops)
+    want = tuple(max(abs(c.limit - (2.0 * a.limit - b.limit))
+                     for a, b, c in zip(first.per_s, second.per_s, combo.per_s, strict=True))
+                 for first, second, combo in zip(reports[0:4:2], reports[1:4:2], reports[5:]))
     recover, calls = lebesgue._recover, []
 
     def counted(*args):
@@ -964,4 +1006,23 @@ def test_projection_check_reads_linearity_off_one_decompose_pass(monkeypatch):
     report = projection_check(phis, sched, tau, G2, ops)
     assert len(report.linearity_gaps) == 2
     assert report.linearity_gaps == want
-    assert len(calls) == len(phis) * len(ops)
+    assert 0.0 < max(want) <= 1e-8
+    assert len(calls) == (len(phis) + len(combos)) * len(ops)
+
+
+def test_projection_linearity_check_fails_on_a_nonlinear_recovery(monkeypatch):
+    rng = np.random.default_rng(96)
+    tau = lap()
+    sched = build_schedule(tau, G2, WINDOWS)
+    phis = [FunctionalSpec(trace_part=random_trace_part(rng, support=3 + i)) for i in range(4)]
+    ops = sample_ops(tau, seed=97, count=3)
+    assert max(projection_check(phis, sched, tau, G2, ops).linearity_gaps) <= 1e-8
+    recover = lebesgue._recover
+
+    def bent(*args):
+        rec, traces = recover(*args)
+        values = [v + 1e-6 * abs(v) for v in rec.sequence]
+        return lebesgue.RecoveryResult(tuple(values), detect_limit(values)), traces
+
+    monkeypatch.setattr(lebesgue, "_recover", bent)
+    assert min(projection_check(phis, sched, tau, G2, ops).linearity_gaps) > 1e-8
